@@ -25,7 +25,7 @@ from .freecomb import enumerate_star_pairings, fuss_catalan, moment_upper_bound,
 from .matnum import DEFAULT_DIM_SCHEDULE, Seed
 from .ncpoly import NCPolynomial
 from .quantum import QuantumQueryCircuit, address_form, forrelation_circuit, random_circuit
-from .simulate import SimulationPolicy, error_profile, reference_query_bound
+from .simulate import ERROR_PROFILE_CAP, SimulationPolicy, error_profile, reference_query_bound
 from .witness import (general_form_witness, influence_floor, root_influence_witness,
                       scalar_phase_address_witness, sign_baseline)
 
@@ -183,7 +183,7 @@ def cmd_influence(cfg: RunConfig) -> int:
 def cmd_witness(cfg: RunConfig) -> int:
     f = _load_form(cfg.input_path)
     seed = Seed(cfg.seed)
-    schedule = (cfg.dim,) if cfg.dim else cfg.schedule
+    schedule = cfg.schedule if cfg.dim is None else (cfg.dim,)
     if cfg.method == "sign-baseline":
         report = sign_baseline(f, cfg.trials, seed)
     elif cfg.method == "scalar-phase":
@@ -214,7 +214,8 @@ def cmd_simulate(cfg: RunConfig) -> int:
     rows = []
     for budget in cfg.budgets:
         policy = SimulationPolicy(epsilon=cfg.eps, delta=cfg.delta, query_budget=budget)
-        profile = error_profile(f, policy, cap=cfg.cap or 20)
+        profile = error_profile(f, policy,
+                                cap=ERROR_PROFILE_CAP if cfg.cap is None else cfg.cap)
         rows.append({
             "budget": budget,
             "epsilon": cfg.eps,
@@ -246,7 +247,7 @@ def _ncpoly_from_dict(data: dict) -> NCPolynomial:
 
 def cmd_trace(cfg: RunConfig) -> int:
     p = _ncpoly_from_dict(json.loads(Path(cfg.input_path).read_text()))
-    kwargs = {"cap": cfg.cap} if cfg.cap else {}
+    kwargs = {} if cfg.cap is None else {"cap": cfg.cap}
     moment = trace_moment_exact(p, cfg.m, **kwargs)
     bound = moment_upper_bound(p, cfg.m)
     payload = {
@@ -264,7 +265,7 @@ def cmd_trace(cfg: RunConfig) -> int:
 
 
 def cmd_pairings(cfg: RunConfig) -> int:
-    kwargs = {"cap": cfg.cap} if cfg.cap else {}
+    kwargs = {} if cfg.cap is None else {"cap": cfg.cap}
     pairings = enumerate_star_pairings(cfg.d, cfg.m, **kwargs)
     payload = {
         "d": cfg.d,
@@ -390,6 +391,13 @@ def _config_from_args(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
+def _check_sizes(cfg: RunConfig):
+    for name in ("cap", "dim"):
+        value = getattr(cfg, name)
+        if value is not None and value < 1:
+            raise ValueError(f"--{name} must be at least 1, got {value}")
+
+
 COMMANDS = {
     "gen": cmd_gen,
     "influence": cmd_influence,
@@ -405,6 +413,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     cfg = _config_from_args(args)
     try:
+        _check_sizes(cfg)
         return COMMANDS[cfg.command](cfg)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

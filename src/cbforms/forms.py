@@ -239,28 +239,31 @@ class BlockMultilinearForm:
             raise ValueError(f"cap exceeded: {k} support variables > cap {cap}")
         if k == 0:
             return abs(self._constant)
-        # per-monomial parity masks over the support enumeration bits
-        pos = {v: j for j, v in enumerate(sup_vars)}
-        masks = np.empty(len(self._terms), dtype=np.uint64)
-        coeffs = np.empty(len(self._terms))
-        for t, ((blocks, indices), coeff) in enumerate(self._terms.items()):
-            mask = 0
-            for b, i in zip(blocks, indices):
-                mask |= 1 << pos[(b, i)]
-            masks[t] = mask
-            coeffs[t] = coeff
         best = 0.0
         chunk = 1 << min(k, 18)
         for start in range(0, 1 << k, chunk):
-            pts = np.arange(start, start + chunk, dtype=np.uint64)
-            vals = np.full(chunk, self._constant)
-            for mask, coeff in zip(masks, coeffs):
-                # bit i of the point encodes variable i; parity of the masked
-                # bits is the character value
-                par = np.bitwise_count(pts & mask) & np.uint64(1)
-                vals += coeff * (1.0 - 2.0 * par.astype(float))
+            vals = self._cube_values(sup_vars, np.arange(start, start + chunk, dtype=np.uint64))
             best = max(best, float(np.max(np.abs(vals))))
         return best
+
+    def _cube_values(self, sup_vars, points: np.ndarray) -> np.ndarray:
+        """Values at bit-encoded cube points: bit j of a point set means
+        variable ``sup_vars[j]`` is -1, a clear bit means +1.
+
+        ``sup_vars`` must cover the support.  A monomial's sign is the
+        parity of its masked bits, and multiplying by +-1 is exact, so
+        adding the terms in storage order onto the constant gives the
+        same floats as ``evaluate`` at every point.
+        """
+        pos = {v: j for j, v in enumerate(sup_vars)}
+        vals = np.full(points.shape, self._constant)
+        for (blocks, indices), coeff in self._terms.items():
+            mask = 0
+            for b, i in zip(blocks, indices):
+                mask |= 1 << pos[(b, i)]
+            par = np.bitwise_count(points & mask) & 1
+            vals += coeff * (1.0 - 2.0 * par.astype(float))
+        return vals
 
     # -- structure ---------------------------------------------------------
 
@@ -307,13 +310,17 @@ class BlockMultilinearForm:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed form payload: {exc}") from exc
         terms: dict[Key, float] = {}
-        for item in raw:
-            blocks = tuple(int(b) - 1 for b in item["blocks"])
-            indices = tuple(int(i) - 1 for i in item["indices"])
-            key = (blocks, indices)
-            if key in terms:
-                raise ValueError(f"duplicate monomial in payload: {item}")
-            terms[key] = float(item["coeff"])
+        try:
+            for item in raw:
+                key = (tuple(int(b) - 1 for b in item["blocks"]),
+                       tuple(int(i) - 1 for i in item["indices"]))
+                if key in terms:
+                    raise ValueError(f"duplicate monomial in payload: {item}")
+                terms[key] = float(item["coeff"])
+        except KeyError as exc:
+            raise ValueError(f"malformed form payload: a term has no field {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed form payload: {exc}") from exc
         return cls(d, n, constant, terms)
 
     @classmethod

@@ -7,6 +7,12 @@ delta, so Chebyshev bounds the failure probability of the mean output
 by delta) or the query budget runs out.  The output is the expectation
 of the final restriction.
 
+The queries depend only on the answers so far, so the simulator is a
+decision tree.  ``simulate_on_input`` walks one root-to-leaf path
+lazily; ``error_profile`` visits every node of the tree once, in one
+depth-first pass that carries the cube points reaching each node.  Both
+stop by the same rule.
+
 Influence tables are recomputed exactly for the restricted form at
 every node; nothing is carried over or approximated.  Budget exhaustion
 is an ordinary outcome, reported in the transcript, never an error.
@@ -57,6 +63,17 @@ class SimulationTranscript:
         return len(self.queries)
 
 
+def _stop_reason(g: BlockMultilinearForm, queries_used: int,
+                 policy: SimulationPolicy) -> str | None:
+    """Why the tree stops at a node holding ``g`` after ``queries_used``
+    queries, or None when it queries again."""
+    if g.variance() <= policy.variance_threshold:
+        return "variance"
+    if queries_used >= policy.query_budget:
+        return "budget"
+    return None
+
+
 def simulate_on_input(f: BlockMultilinearForm, policy: SimulationPolicy,
                       x) -> SimulationTranscript:
     """Run the greedy tree on one input and return the transcript."""
@@ -65,17 +82,12 @@ def simulate_on_input(f: BlockMultilinearForm, policy: SimulationPolicy,
         raise ValueError(f"expected input shape {(f.d, f.n)}, got {x.shape}")
     g = f
     transcript = SimulationTranscript()
-    while True:
-        if g.variance() <= policy.variance_threshold:
-            transcript.stop_reason = "variance"
-            break
-        if transcript.queries_used >= policy.query_budget:
-            transcript.stop_reason = "budget"
-            break
+    while (reason := _stop_reason(g, transcript.queries_used, policy)) is None:
         b, i, _ = g.max_influence()
         observed = float(x[b, i])
         transcript.queries.append((b, i, observed))
         g = g.restrict({(b, i): observed})
+    transcript.stop_reason = reason
     transcript.output = g.constant
     return transcript
 
@@ -109,25 +121,40 @@ class ErrorProfile:
 
 def error_profile(f: BlockMultilinearForm, policy: SimulationPolicy,
                   cap: int = ERROR_PROFILE_CAP) -> ErrorProfile:
-    """Exact error distribution by exhaustive enumeration.
+    """Exact error distribution over the cube, from one pass over the tree.
 
     The tree only ever queries variables with positive influence, and
-    the form's value only depends on its support, so the enumeration
-    runs over support variables; ``cap`` bounds their number.
+    the form's value only depends on its support, so the cube runs over
+    support variables; ``cap`` bounds their number.  Point p sets
+    support variable j to -1 when bit j of p is set.  A depth-first pass
+    visits each tree node once, holding the restricted form and the
+    points whose answers lead there.  A node that stops records
+    |output - f(x)| and its depth for all of its points; otherwise its
+    points split on the sign of the queried variable and each child is
+    restricted once.  The values f(x) come from one vectorized sweep of
+    the cube, equal as floats to ``f.evaluate`` at each point, so the
+    profile matches running ``simulate_on_input`` point by point.
     """
     sup_vars = f.support()
     k = len(sup_vars)
     if k > cap:
         raise ValueError(f"cap exceeded: {k} support variables > cap {cap}")
+    bit = {v: j for j, v in enumerate(sup_vars)}
+    points = np.arange(1 << k)
+    values = f._cube_values(sup_vars, points)
     errors = np.empty(1 << k)
     queries = np.empty(1 << k, dtype=int)
-    x = np.ones((f.d, f.n))
-    for point in range(1 << k):
-        for j, (b, i) in enumerate(sup_vars):
-            x[b, i] = -1.0 if (point >> j) & 1 else 1.0
-        transcript = simulate_on_input(f, policy, x)
-        errors[point] = abs(transcript.output - f.evaluate(x))
-        queries[point] = transcript.queries_used
+    stack = [(f, 0, points)]
+    while stack:
+        g, depth, reach = stack.pop()
+        if _stop_reason(g, depth, policy) is not None:
+            errors[reach] = np.abs(g.constant - values[reach])
+            queries[reach] = depth
+            continue
+        b, i, _ = g.max_influence()
+        minus = ((reach >> bit[(b, i)]) & 1).astype(bool)
+        stack.append((g.restrict({(b, i): 1.0}), depth + 1, reach[~minus]))
+        stack.append((g.restrict({(b, i): -1.0}), depth + 1, reach[minus]))
     return ErrorProfile(epsilon=policy.epsilon, delta=policy.delta,
                         budget=policy.query_budget, errors=errors, queries=queries)
 

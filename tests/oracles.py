@@ -11,6 +11,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from cbforms import simulate_on_input
+
 
 def cube_points(d, n):
     """All +-1 arrays of shape (d, n)."""
@@ -50,6 +52,23 @@ def influence_bruteforce(f, b, i):
         total += diff * diff
         count += 1
     return total / count
+
+
+def error_profile_pointwise(f, policy):
+    """Greedy-tree errors and query counts by one simulator walk per cube
+    point, in ``error_profile``'s point order: bit j of point p sets
+    support variable j to -1."""
+    sup_vars = f.support()
+    errors = np.empty(1 << len(sup_vars))
+    queries = np.empty(1 << len(sup_vars), dtype=int)
+    x = np.ones((f.d, f.n))
+    for point in range(1 << len(sup_vars)):
+        for j, (b, i) in enumerate(sup_vars):
+            x[b, i] = -1.0 if (point >> j) & 1 else 1.0
+        transcript = simulate_on_input(f, policy, x)
+        errors[point] = abs(transcript.output - f.evaluate(x))
+        queries[point] = transcript.queries_used
+    return errors, queries
 
 
 def sup_norm_bruteforce_naive(f):

@@ -145,6 +145,34 @@ def test_missing_input_file(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_term_without_coeff_exits_one(capsys, tmp_path):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps({"d": 1, "n": 2, "constant": 0,
+                                "terms": [{"blocks": [1], "indices": [1]}]}))
+    rc, _, err = run(capsys, "influence", str(path))
+    assert rc == 1
+    assert err.startswith("error: malformed form payload")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("simulate", "{form}", "--cap", "0"),
+    ("simulate", "{form}", "--cap", "-3"),
+    ("witness", "{form}", "polar-general", "--dim", "0"),
+    ("trace", "{poly}", "1", "--cap", "0"),
+    ("pairings", "2", "1", "--cap", "0"),
+])
+def test_sizes_below_one_exit_one(capsys, tmp_path, args):
+    poly = tmp_path / "p.json"
+    poly.write_text(json.dumps({"terms": [{"vars": [1], "coeff": 1}]}))
+    form = gen_address(capsys, tmp_path, d=1)
+    rc, out, err = run(capsys, *(a.format(form=form, poly=poly) for a in args))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: --") and "at least 1" in err
+    assert err.count("\n") == 1
+
+
 # -- witness --------------------------------------------------------------------
 
 

@@ -348,6 +348,14 @@ def test_from_dict_rejects_bad_payloads():
         BlockMultilinearForm.from_dict(dup)
 
 
+@pytest.mark.parametrize("field", ["blocks", "indices", "coeff"])
+def test_from_dict_rejects_term_without_field(field):
+    term = {"blocks": [1], "indices": [1], "coeff": 1.0}
+    del term[field]
+    with pytest.raises(ValueError, match="malformed form payload"):
+        BlockMultilinearForm.from_dict({"d": 1, "n": 2, "constant": 0, "terms": [term]})
+
+
 # -- generators ---------------------------------------------------------------
 
 

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cbforms import (BlockMultilinearForm, SimulationPolicy, error_profile,
                      extract_form, forrelation_circuit, reference_query_bound,
                      simulate_on_input, zero_form)
 
+from oracles import error_profile_pointwise
 from strategies import small_forms
 
 
@@ -151,6 +153,26 @@ def test_profile_summaries():
     assert prof.max_error == pytest.approx(2.0 ** -0.5, abs=1e-12)
     assert prof.failing_fraction_at(1.0) == 0.0
     assert prof.failing_fraction_at(0.0) == 1.0
+
+
+def assert_profile_matches_pointwise(f, pol):
+    errors, queries = error_profile_pointwise(f, pol)
+    prof = error_profile(f, pol)
+    assert prof.errors.tobytes() == errors.tobytes()
+    assert prof.queries.tobytes() == queries.tobytes()
+
+
+@given(small_forms(max_terms=8), st.integers(1, 3), st.sampled_from([0.05, 0.3, 1.0]))
+@settings(max_examples=60)
+def test_tree_profile_matches_pointwise_walks(f, budget, epsilon):
+    # budgets this small stop some forms on the budget, others on variance
+    assert_profile_matches_pointwise(f, SimulationPolicy(epsilon, 0.5, budget))
+
+
+@pytest.mark.parametrize("budget", [1, 2, 4, 8, 16])
+def test_tree_profile_matches_pointwise_walks_on_forrelation(budget):
+    f = extract_form(forrelation_circuit(4))
+    assert_profile_matches_pointwise(f, SimulationPolicy(0.25, 0.25, budget))
 
 
 def test_error_profile_cap():
