@@ -20,11 +20,12 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .forms import BlockMultilinearForm, random_form
+from .forms import BlockMultilinearForm, _payload_float, _payload_int, random_form
 from .freecomb import enumerate_star_pairings, fuss_catalan, moment_upper_bound, trace_moment_exact
 from .matnum import DEFAULT_DIM_SCHEDULE, Seed
 from .ncpoly import NCPolynomial
-from .quantum import QuantumQueryCircuit, address_form, forrelation_circuit, random_circuit
+from .quantum import (QuantumQueryCircuit, address_form, extract_form, forrelation_circuit,
+                      random_circuit)
 from .simulate import ERROR_PROFILE_CAP, SimulationPolicy, error_profile, reference_query_bound
 from .witness import (general_form_witness, influence_floor, root_influence_witness,
                       scalar_phase_address_witness, sign_baseline)
@@ -120,7 +121,12 @@ def _emit(cfg: RunConfig, payload: dict, rows: list[dict]):
 
 
 def _load_form(path: str) -> BlockMultilinearForm:
-    return BlockMultilinearForm.from_json(Path(path).read_text())
+    """A form file, or a circuit file (as ``gen forrelation`` and ``gen
+    random-circuit`` write) read as the form it computes."""
+    data = json.loads(Path(path).read_text())
+    if isinstance(data, dict) and "unitaries" in data:
+        return extract_form(QuantumQueryCircuit.from_dict(data))
+    return BlockMultilinearForm.from_dict(data)
 
 
 def _influence_payload(f: BlockMultilinearForm) -> dict:
@@ -237,12 +243,18 @@ def cmd_simulate(cfg: RunConfig) -> int:
 
 def _ncpoly_from_dict(data: dict) -> NCPolynomial:
     terms = {}
-    for item in data["terms"]:
-        word = tuple(int(g) for g in item["vars"])
-        if word in terms:
-            raise ValueError(f"duplicate term in payload: {item}")
-        terms[word] = float(item["coeff"])
-    return NCPolynomial(terms, constant=float(data.get("constant", 0.0)))
+    try:
+        for item in data["terms"]:
+            word = tuple(_payload_int(g, "generator label", "trace") for g in item["vars"])
+            if word in terms:
+                raise ValueError(f"duplicate term in payload: {item}")
+            terms[word] = _payload_float(item["coeff"], "coefficient", "trace")
+        constant = _payload_float(data.get("constant", 0.0), "constant", "trace")
+    except KeyError as exc:
+        raise ValueError(f"malformed trace payload: no field {exc}") from exc
+    except TypeError as exc:
+        raise ValueError(f"malformed trace payload: {exc}") from exc
+    return NCPolynomial(terms, constant=constant)
 
 
 def cmd_trace(cfg: RunConfig) -> int:

@@ -27,6 +27,7 @@ Conventions
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -50,6 +51,30 @@ def _validate_key(blocks, indices, d: int, n: int) -> Key:
     if any(i < 0 or i >= n for i in indices):
         raise ValueError(f"index out of range [0, {n}): {indices}")
     return blocks, indices
+
+
+def _payload_int(value, what: str, payload: str) -> int:
+    """An integer read from a JSON payload.  Integral floats pass; bools,
+    strings, fractions and non-finite values do not, so nothing is
+    silently truncated."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"malformed {payload} payload: {what} must be an integer, got {value!r}")
+
+
+def _payload_float(value, what: str, payload: str) -> float:
+    """A finite float read from a JSON payload (JSON's NaN and Infinity
+    are rejected)."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"malformed {payload} payload: {what} must be a number, "
+                         f"got {value!r}") from None
+    if not math.isfinite(out):
+        raise ValueError(f"malformed {payload} payload: {what} must be finite, got {value!r}")
+    return out
 
 
 class BlockMultilinearForm:
@@ -303,20 +328,20 @@ class BlockMultilinearForm:
     @classmethod
     def from_dict(cls, data: dict) -> "BlockMultilinearForm":
         try:
-            d = int(data["d"])
-            n = int(data["n"])
-            constant = float(data["constant"])
+            d = _payload_int(data["d"], "d", "form")
+            n = _payload_int(data["n"], "n", "form")
+            constant = _payload_float(data["constant"], "constant", "form")
             raw = data["terms"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed form payload: {exc}") from exc
         terms: dict[Key, float] = {}
         try:
             for item in raw:
-                key = (tuple(int(b) - 1 for b in item["blocks"]),
-                       tuple(int(i) - 1 for i in item["indices"]))
+                key = (tuple(_payload_int(b, "block", "form") - 1 for b in item["blocks"]),
+                       tuple(_payload_int(i, "index", "form") - 1 for i in item["indices"]))
                 if key in terms:
                     raise ValueError(f"duplicate monomial in payload: {item}")
-                terms[key] = float(item["coeff"])
+                terms[key] = _payload_float(item["coeff"], "coefficient", "form")
         except KeyError as exc:
             raise ValueError(f"malformed form payload: a term has no field {exc}") from exc
         except TypeError as exc:

@@ -12,7 +12,12 @@ drives everything here:
   products over all 2m-fold monomial choices, scoring each resulting
   word with the trace indicator.  With integer coefficients the sum is
   computed in exact integer arithmetic (Python integers do not
-  overflow).
+  overflow).  The sum is factored by a transfer map over reduced
+  prefixes, and a prefix is dropped once it is longer than the letters
+  the remaining monomials could cancel (d per step).  That is exact: a
+  dropped prefix only ever extends to dropped prefixes, so no kept key
+  loses a contribution or sees its contributions in another order, and
+  float results are bit-for-bit those of the unpruned map.
 * Star pairings: positions 1..2dm split into 2m consecutive blocks of
   d; odd-numbered blocks are colored red (plain letters), even blocks
   blue (starred letters).  ``enumerate_star_pairings`` lists all
@@ -222,6 +227,14 @@ def trace_moment_exact(p: NCPolynomial, m: int, cap: int = TRACE_TUPLE_CAP):
     over reduced prefixes, which factors the same sum without changing
     it; the cap still bounds the notional tuple count.  Integer
     coefficients give an exact integer result.
+
+    Each step appends one monomial of d letters and so cancels at most d
+    letters.  After step ``step`` (0-based) a prefix longer than
+    d (2m - step - 1) can no longer reduce to the empty word and is
+    dropped.  Each later step shortens it by at most d letters, so its
+    extensions would all be dropped too: every kept state receives exactly
+    the contributions it received without pruning, in the same order,
+    and float results are unchanged bit for bit.
     """
     _check_generator_poly(p)
     if m < 1:
@@ -231,10 +244,13 @@ def trace_moment_exact(p: NCPolynomial, m: int, cap: int = TRACE_TUPLE_CAP):
         raise ValueError(f"cap exceeded: {len(terms)}^{2 * m} monomial tuples > cap {cap}")
 
     zero = 0 if integral else 0.0
+    d = p.degree()
     # transfer states: reduced word prefix -> accumulated coefficient
     states = {(): 1 if integral else 1.0}
     for step in range(2 * m):
         starred = step % 2 == 1
+        # the 2m - step - 1 steps left cancel at most d letters each
+        live = d * (2 * m - step - 1)
         nxt: dict[Word, object] = {}
         for prefix, acc in states.items():
             for mono, coeff in terms:
@@ -248,6 +264,8 @@ def trace_moment_exact(p: NCPolynomial, m: int, cap: int = TRACE_TUPLE_CAP):
                         stack.pop()
                     else:
                         stack.append(let)
+                if len(stack) > live:
+                    continue
                 key = tuple(stack)
                 nxt[key] = nxt.get(key, zero) + acc * coeff
         states = {k: v for k, v in nxt.items() if v != 0}

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forms import BlockMultilinearForm
+from .forms import BlockMultilinearForm, _payload_int
 from .matnum import Seed, haar_orthogonal
 
 EXTRACT_CUBE_CAP = 20
@@ -52,7 +52,7 @@ class QuantumQueryCircuit:
         if self.u.shape != (dim,) or self.v.shape != (dim,):
             raise ValueError(f"u and v must have shape ({dim},)")
         for name, vec in (("u", self.u), ("v", self.v)):
-            if abs(np.linalg.norm(vec) - 1.0) > ORTHOGONALITY_TOL:
+            if not abs(np.linalg.norm(vec) - 1.0) <= ORTHOGONALITY_TOL:  # NaN fails too
                 raise ValueError(f"{name} is not a unit vector")
         if len(self.unitaries) != self.d:
             raise ValueError(f"expected {self.d} unitaries, got {len(self.unitaries)}")
@@ -62,7 +62,7 @@ class QuantumQueryCircuit:
             if mat.shape != (dim, dim):
                 raise ValueError(f"unitary {k} has shape {mat.shape}, expected {(dim, dim)}")
             resid = np.abs(mat @ mat.T - np.eye(dim)).max()
-            if resid > ORTHOGONALITY_TOL:
+            if not resid <= ORTHOGONALITY_TOL:
                 raise ValueError(f"unitary {k} is not orthogonal (residual {resid:.2e})")
             mats.append(mat)
         self.unitaries = mats
@@ -107,15 +107,17 @@ class QuantumQueryCircuit:
     def from_dict(cls, data: dict) -> "QuantumQueryCircuit":
         try:
             return cls(
-                n=int(data["n"]),
-                s=int(data["s"]),
-                d=int(data["d"]),
+                n=_payload_int(data["n"], "n", "circuit"),
+                s=_payload_int(data["s"], "s", "circuit"),
+                d=_payload_int(data["d"], "d", "circuit"),
                 u=np.asarray(data["u"], dtype=float),
                 v=np.asarray(data["v"], dtype=float),
                 unitaries=[np.asarray(m, dtype=float) for m in data["unitaries"]],
             )
         except KeyError as exc:
             raise ValueError(f"malformed circuit payload: missing {exc}") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed circuit payload: {exc}") from exc
 
     @classmethod
     def from_json(cls, text: str) -> "QuantumQueryCircuit":

@@ -172,3 +172,32 @@ def trace_moment_naive(p, m):
         if len(reduce_word_naive(word)) == 0:
             total += coeff
     return total
+
+
+def trace_moment_transfer(p, m):
+    """The unpruned transfer map over reduced prefixes: every prefix is
+    carried to the last step.  Same term order and arithmetic as
+    ``trace_moment_exact`` (ints when every coefficient is integral,
+    floats otherwise), so float results must agree bit for bit."""
+    terms = sorted(p.terms.items())
+    integral = all(float(c).is_integer() for _, c in terms)
+    terms = [(w, int(c) if integral else float(c)) for w, c in terms]
+    zero = 0 if integral else 0.0
+    states = {(): 1 if integral else 1.0}
+    for step in range(2 * m):
+        starred = step % 2 == 1
+        nxt = {}
+        for prefix, acc in states.items():
+            for mono, coeff in terms:
+                letters = ([(g, True) for g in reversed(mono)] if starred
+                           else [(g, False) for g in mono])
+                stack = list(prefix)
+                for let in letters:
+                    if stack and stack[-1][0] == let[0] and stack[-1][1] != let[1]:
+                        stack.pop()
+                    else:
+                        stack.append(let)
+                key = tuple(stack)
+                nxt[key] = nxt.get(key, zero) + acc * coeff
+        states = {k: v for k, v in nxt.items() if v != 0}
+    return states.get((), zero)

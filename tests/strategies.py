@@ -40,10 +40,12 @@ def small_words(draw, max_gen=4, max_len=20):
 
 
 @st.composite
-def generator_polys(draw, max_gens=3, max_deg=2, max_terms=5, integers=True):
+def generator_polys(draw, max_gens=3, max_deg=2, max_terms=5, integers=True,
+                    first_label=st.just(1)):
     t = draw(st.integers(1, max_gens))
     deg = draw(st.integers(1, max_deg))
-    words = list(itertools.product(range(1, t + 1), repeat=deg))
+    lo = draw(first_label)
+    words = list(itertools.product(range(lo, lo + t), repeat=deg))
     chosen = draw(st.lists(st.sampled_from(words), unique=True, min_size=1,
                            max_size=max_terms))
     if integers:

@@ -5,7 +5,8 @@ import json
 import numpy as np
 import pytest
 
-from cbforms import BlockMultilinearForm, QuantumQueryCircuit, address_form
+from cbforms import (BlockMultilinearForm, QuantumQueryCircuit, SimulationPolicy, address_form,
+                     error_profile, extract_form, forrelation_circuit)
 from cbforms.cli import main
 
 
@@ -155,6 +156,23 @@ def test_term_without_coeff_exits_one(capsys, tmp_path):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["influence", "check"])
+@pytest.mark.parametrize("payload", [
+    '{"d": 1, "n": 2, "constant": NaN, "terms": []}',
+    '{"d": 1, "n": 2, "constant": 0, "terms": [{"blocks": [1], "indices": [1], "coeff": Infinity}]}',
+    '{"d": 1, "n": 2, "constant": 0, "terms": [{"blocks": [1.7], "indices": [1], "coeff": 1}]}',
+    '{"d": 1, "n": 2, "constant": 0, "terms": [{"blocks": [1], "indices": [1.7], "coeff": 1}]}',
+])
+def test_malformed_form_payload_exits_one(capsys, tmp_path, command, payload):
+    path = tmp_path / "f.json"
+    path.write_text(payload)
+    rc, out, err = run(capsys, command, str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: malformed form payload")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("args", [
     ("simulate", "{form}", "--cap", "0"),
     ("simulate", "{form}", "--cap", "-3"),
@@ -260,6 +278,44 @@ def test_simulate_payload(capsys, tmp_path):
     assert payload["rows"][1]["achieved_failing_fraction"] <= 0.25
 
 
+def test_simulate_reads_generated_circuit(capsys, tmp_path):
+    # a circuit file is read as the form it computes
+    path = tmp_path / "forr.json"
+    assert run(capsys, "gen", "forrelation", "--out", str(path))[0] == 0
+    rc, out, err = run(capsys, "simulate", str(path), "--budget", "1,4,16",
+                       "--format", "json")
+    assert rc == 0 and err == ""
+    f = extract_form(forrelation_circuit(4, k=2))
+    for row in json.loads(out)["rows"]:
+        policy = SimulationPolicy(epsilon=0.25, delta=0.25, query_budget=row["budget"])
+        profile = error_profile(f, policy)
+        assert row["achieved_failing_fraction"] == profile.failing_fraction
+        assert row["mean_queries"] == profile.mean_queries
+
+
+def test_influence_of_circuit_matches_its_form(capsys, tmp_path):
+    circuit, form = tmp_path / "c.json", tmp_path / "f.json"
+    assert run(capsys, "gen", "random-circuit", "--n", "2", "--seed", "3",
+               "--out", str(circuit))[0] == 0
+    form.write_text(extract_form(QuantumQueryCircuit.from_json(circuit.read_text())).to_json())
+    rc, from_circuit, _ = run(capsys, "influence", str(circuit), "--format", "json")
+    assert rc == 0
+    assert from_circuit == run(capsys, "influence", str(form), "--format", "json")[1]
+
+
+@pytest.mark.parametrize("field, value", [("n", None), ("n", 4.5), ("u", [float("nan")] * 4),
+                                          ("unitaries", 5)])
+def test_malformed_circuit_payload_exits_one(capsys, tmp_path, field, value):
+    path = tmp_path / "forr.json"
+    assert run(capsys, "gen", "forrelation", "--n", "2", "--out", str(path))[0] == 0
+    path.write_text(json.dumps(dict(json.loads(path.read_text()), **{field: value})))
+    rc, out, err = run(capsys, "simulate", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:")
+    assert err.count("\n") == 1
+
+
 def test_simulate_csv_columns(capsys, tmp_path):
     path = gen_address(capsys, tmp_path, d=1)
     rc, out, _ = run(capsys, "simulate", str(path), "--budget", "2",
@@ -294,6 +350,23 @@ def test_trace_rejects_duplicate_terms(capsys, tmp_path):
                                           {"vars": [1], "coeff": 2}]}))
     rc, _, err = run(capsys, "trace", str(poly), "1")
     assert rc == 1 and "duplicate" in err
+
+
+@pytest.mark.parametrize("payload", [
+    '{"terms": [{"vars": [1, 2]}]}',
+    '{"constant": 0}',
+    '{"terms": [{"vars": [1.5, 2], "coeff": 1}]}',
+    '{"terms": [{"vars": [1, 2], "coeff": NaN}]}',
+    '{"terms": [{"vars": [1, 2], "coeff": 1}], "constant": Infinity}',
+])
+def test_trace_malformed_payload_exits_one(capsys, tmp_path, payload):
+    poly = tmp_path / "p.json"
+    poly.write_text(payload)
+    rc, out, err = run(capsys, "trace", str(poly), "1")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: malformed trace payload")
+    assert err.count("\n") == 1
 
 
 def test_pairings_command(capsys, tmp_path):

@@ -356,6 +356,31 @@ def test_from_dict_rejects_term_without_field(field):
         BlockMultilinearForm.from_dict({"d": 1, "n": 2, "constant": 0, "terms": [term]})
 
 
+@pytest.mark.parametrize("bad", [
+    {"constant": float("nan")},
+    {"constant": float("inf")},
+    {"coeff": float("nan")},
+    {"coeff": float("-inf")},
+    {"blocks": [1.7]},
+    {"indices": [1.7]},
+    {"indices": ["1"]},
+    {"n": 2.5},
+])
+def test_from_dict_rejects_non_finite_and_fractional_values(bad):
+    term = {"blocks": [1], "indices": [1], "coeff": 1.0}
+    data = {"d": 1, "n": 2, "constant": 0.0, "terms": [term]}
+    for field, value in bad.items():
+        (term if field in term else data)[field] = value
+    with pytest.raises(ValueError, match="malformed form payload"):
+        BlockMultilinearForm.from_dict(data)
+
+
+def test_from_dict_accepts_integral_floats():
+    data = {"d": 1.0, "n": 2, "constant": 0,
+            "terms": [{"blocks": [1.0], "indices": [2], "coeff": 3}]}
+    assert BlockMultilinearForm.from_dict(data) == BlockMultilinearForm(1, 2, 0.0, {((0,), (1,)): 3.0})
+
+
 # -- generators ---------------------------------------------------------------
 
 

@@ -253,6 +253,16 @@ def test_trace_moment_matches_naive_floats(p, m):
     assert got == pytest.approx(float(ref), rel=1e-12, abs=1e-12)
 
 
+@given(st.booleans().flatmap(lambda ints: generator_polys(
+    max_deg=3, max_terms=4, integers=ints, first_label=st.integers(-3, 1))),
+    st.integers(1, 4))
+def test_trace_moment_matches_unpruned_transfer(p, m):
+    # pruning dead prefixes must not change a single bit, floats included
+    got = trace_moment_exact(p, m)
+    ref = oracles.trace_moment_transfer(p, m)
+    assert type(got) is type(ref) and got == ref
+
+
 @given(generator_polys(), st.integers(1, 3))
 @settings(max_examples=25)
 def test_trace_moment_respects_upper_bound(p, m):
