@@ -217,13 +217,14 @@ def cmd_witness(cfg: RunConfig) -> int:
 
 def cmd_simulate(cfg: RunConfig) -> int:
     f = _load_form(cfg.input_path)
+    policies = [SimulationPolicy(epsilon=cfg.eps, delta=cfg.delta, query_budget=budget)
+                for budget in cfg.budgets]
     rows = []
-    for budget in cfg.budgets:
-        policy = SimulationPolicy(epsilon=cfg.eps, delta=cfg.delta, query_budget=budget)
+    for policy in policies:
         profile = error_profile(f, policy,
                                 cap=ERROR_PROFILE_CAP if cfg.cap is None else cfg.cap)
         rows.append({
-            "budget": budget,
+            "budget": policy.query_budget,
             "epsilon": cfg.eps,
             "achieved_failing_fraction": profile.failing_fraction,
             "mean_queries": profile.mean_queries,
@@ -231,7 +232,7 @@ def cmd_simulate(cfg: RunConfig) -> int:
     payload = {
         "epsilon": cfg.eps,
         "delta": cfg.delta,
-        "variance_threshold": cfg.eps ** 2 * cfg.delta,
+        "variance_threshold": policies[0].variance_threshold,
         "reference_query_bound": reference_query_bound(f.d, cfg.eps, cfg.delta),
         "rows": rows,
     }

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -205,12 +205,6 @@ class BlockMultilinearForm:
         b, i = divmod(flat, self._n)
         return b, i, float(table[b, i])
 
-    def sum_block_influence(self, b: int) -> float:
-        """Sum of influences over all variables in block b."""
-        if not (0 <= b < self._d):
-            raise ValueError(f"block {b} out of range")
-        return float(np.sum(self.influences()[b]))
-
     # -- restriction ----------------------------------------------------
 
     def restrict(self, assignments: Mapping[tuple[int, int], int]) -> "BlockMultilinearForm":
@@ -292,15 +286,6 @@ class BlockMultilinearForm:
 
     # -- structure ---------------------------------------------------------
 
-    def homogeneous_part(self, k: int) -> "BlockMultilinearForm":
-        """Degree-k part: the constant for k = 0, degree-k monomials otherwise."""
-        if not (0 <= k <= self._d):
-            raise ValueError(f"degree {k} out of range [0, {self._d}]")
-        if k == 0:
-            return BlockMultilinearForm(self._d, self._n, self._constant, {})
-        terms = {key: c for key, c in self._terms.items() if len(key[0]) == k}
-        return BlockMultilinearForm(self._d, self._n, 0.0, terms)
-
     def leading_block_decomposition(self) -> list["BlockMultilinearForm"]:
         """Split by lowest block: entry b collects monomials whose first
         block is b.  The constant is excluded; summing the parts and the
@@ -353,10 +338,6 @@ class BlockMultilinearForm:
         return cls.from_dict(json.loads(text))
 
 
-def zero_form(d: int, n: int) -> BlockMultilinearForm:
-    return BlockMultilinearForm(d, n, 0.0, {})
-
-
 def random_form(d: int, n: int, num_terms: int, seed: Seed,
                 homogeneous: bool = True) -> BlockMultilinearForm:
     """Random sparse form with coefficients of magnitude in [0.3, 1].
@@ -387,9 +368,3 @@ def random_form(d: int, n: int, num_terms: int, seed: Seed,
         sign = 1.0 if rng.random() < 0.5 else -1.0
         terms[key] = sign * mag
     return BlockMultilinearForm(d, n, 0.0, terms)
-
-
-def enumerate_cube(num_vars: int) -> Iterable[np.ndarray]:
-    """Yield all +-1 assignments of ``num_vars`` variables, bit 0 first."""
-    for point in range(1 << num_vars):
-        yield 1.0 - 2.0 * ((point >> np.arange(num_vars)) & 1).astype(float)

@@ -45,13 +45,6 @@ PAIRING_CAP = 28
 TRACE_TUPLE_CAP = 10_000_000
 
 
-def make_word(letters: Sequence) -> Word:
-    out = []
-    for gen, star in letters:
-        out.append((int(gen), bool(star)))
-    return tuple(out)
-
-
 def reduce_word(word: Sequence) -> Word:
     """Normal form: repeatedly cancel adjacent u u* and u* u pairs.
 
@@ -67,25 +60,6 @@ def reduce_word(word: Sequence) -> Word:
         else:
             stack.append((gen, star))
     return tuple(stack)
-
-
-def word_trace(word: Sequence) -> int:
-    """Canonical trace of a word in free Haar unitaries: 1 if the word
-    reduces to the identity, else 0."""
-    return 1 if len(reduce_word(word)) == 0 else 0
-
-
-def moment_word(monomials: Sequence[tuple]) -> Word:
-    """Word u_{i_1} u*_{j_1} u_{i_2} u*_{j_2} ... for alternating monomial
-    tuples (i_1, j_1, i_2, ...).  Starred factors reverse their letters
-    because (u_a u_b)* = u_b* u_a*."""
-    word: list[Letter] = []
-    for k, mono in enumerate(monomials):
-        if k % 2 == 0:
-            word.extend((int(g), False) for g in mono)
-        else:
-            word.extend((int(g), True) for g in reversed(mono))
-    return tuple(word)
 
 
 # -- star pairings -----------------------------------------------------
@@ -172,25 +146,6 @@ def fuss_catalan(d: int, m: int) -> int:
     return q
 
 
-def consistent_pairings(word: Sequence, d: int, m: int,
-                        cap: int = PAIRING_CAP) -> list[StarPairing]:
-    """Star pairings that only match positions carrying the same
-    generator.  ``word`` must have the alternating-star block structure
-    of length 2dm (plain blocks at even block positions)."""
-    word = make_word(word)
-    size = 2 * d * m
-    if len(word) != size:
-        raise ValueError(f"word length {len(word)} != 2dm = {size}")
-    for pos, (gen, star) in enumerate(word):
-        if star != bool(_color(pos, d)):
-            raise ValueError(f"position {pos} has star={star}, expected {bool(_color(pos, d))}")
-    keep = []
-    for sp in enumerate_star_pairings(d, m, cap=cap):
-        if all(word[a][0] == word[b][0] for a, b in sp.pairs):
-            keep.append(sp)
-    return keep
-
-
 # -- exact moments -----------------------------------------------------
 
 
@@ -270,23 +225,6 @@ def trace_moment_exact(p: NCPolynomial, m: int, cap: int = TRACE_TUPLE_CAP):
                 nxt[key] = nxt.get(key, zero) + acc * coeff
         states = {k: v for k, v in nxt.items() if v != 0}
     return states.get((), zero)
-
-
-def trace_inner_product(p: NCPolynomial, q: NCPolynomial):
-    """tr(p q*) for polynomials in the generators, via word reduction
-    over all monomial pairs.  Only identical monomials survive, so the
-    monomials of the generators are orthonormal and tr(p p*) is the
-    squared l2 norm."""
-    _check_generator_poly(p)
-    _check_generator_poly(q)
-    pt, p_int = _exact_terms(p)
-    qt, q_int = _exact_terms(q)
-    total = 0 if (p_int and q_int) else 0.0
-    for wp, cp in pt:
-        for wq, cq in qt:
-            if word_trace(moment_word([wp, wq])):
-                total = total + cp * cq
-    return total
 
 
 def moment_upper_bound(p: NCPolynomial, m: int):

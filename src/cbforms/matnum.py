@@ -1,4 +1,4 @@
-"""Matrix numerics: seeded Haar sampling, polar factors, operator norms.
+"""Matrix numerics: seeded Haar sampling, polar factors, the operator norm.
 
 Conventions
 -----------
@@ -11,6 +11,8 @@ Conventions
 * ``polar`` returns an exactly unitary factor and a Hermitian PSD factor
   obtained from the singular value decomposition; rank-deficient inputs
   get the canonical completion that the decomposition provides.
+* ``operator_norm_svd`` is the one spectral norm: witness values and
+  unitarity residuals are both read from it.
 """
 
 from __future__ import annotations
@@ -134,62 +136,14 @@ def polar(m: np.ndarray, side: str = "left") -> PolarFactors:
 
 
 def operator_norm_svd(m: np.ndarray) -> float:
-    """Largest singular value via the full decomposition (reference path)."""
+    """Largest singular value, from the singular values of the full
+    decomposition: the package's one spectral norm."""
     m = np.asarray(m)
+    if m.ndim != 2:
+        raise ValueError("operator_norm_svd requires a matrix")
     if m.size == 0:
         return 0.0
     return float(np.linalg.svd(m, compute_uv=False)[0])
-
-
-def operator_norm(m: np.ndarray, tol: float = 1e-12) -> float:
-    """Largest singular value via power iteration on m* m.
-
-    Stops when the Rayleigh quotient stabilizes to relative tolerance
-    ``tol`` on two consecutive iterations; falls back to the full
-    decomposition after 10 * n iterations without convergence.  The
-    iterate only ever underestimates the true norm, so values reported
-    by witness pipelines stay conservative.
-    """
-    m = np.asarray(m)
-    if m.ndim != 2:
-        raise ValueError("operator_norm requires a matrix")
-    n = m.shape[1]
-    if m.size == 0:
-        return 0.0
-    fro = np.linalg.norm(m)
-    if fro == 0.0:
-        return 0.0
-
-    # fixed-seed start vector: deterministic, and almost surely not
-    # orthogonal to the top singular subspace
-    v = Seed(0x5EED, (n,)).rng().standard_normal(n) + 0.0j
-    v /= np.linalg.norm(v)
-    mh = m.conj().T
-    lam_prev = -1.0
-    streak = 0
-    for _ in range(10 * n):
-        w = mh @ (m @ v)
-        lam = float(np.real(np.vdot(v, w)))
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(lam - lam_prev) <= tol * max(abs(lam), 1.0):
-            streak += 1
-            if streak >= 2:
-                return float(np.sqrt(max(lam, 0.0)))
-        else:
-            streak = 0
-        lam_prev = lam
-    return operator_norm_svd(m)
-
-
-def normalized_trace(m: np.ndarray) -> complex:
-    """tr(m) / n."""
-    m = np.asarray(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("normalized trace requires a square matrix")
-    return complex(np.trace(m) / m.shape[0])
 
 
 def unitarity_residual(m: np.ndarray) -> float:

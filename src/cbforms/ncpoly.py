@@ -4,9 +4,9 @@ Substituting contractive matrices for the +-1 variables of a
 block-multilinear form never exceeds its completely bounded norm, so
 unitary substitutions produced elsewhere in this package certify lower
 bounds.  This module holds the evaluation machinery: a generic
-noncommutative polynomial over an ordered-variable alphabet, and the
-specialization that evaluates a form at a per-variable matrix
-assignment.
+noncommutative polynomial over an ordered-variable alphabet, its one
+matrix evaluator ``evaluate_nc``, and ``form_to_ncpoly``, the view of a
+form that the evaluator takes.
 
 Variables of an :class:`NCPolynomial` are arbitrary sortable, hashable
 labels; block-multilinear forms use (block, index) pairs.  Products run
@@ -15,13 +15,11 @@ left to right in the order stored in each term tuple.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
 
 from .forms import BlockMultilinearForm
-from .matnum import operator_norm_svd
 
 
 class NCPolynomial:
@@ -131,56 +129,3 @@ def form_to_ncpoly(f: BlockMultilinearForm) -> NCPolynomial:
     variables, factors ordered by block."""
     terms = {tuple(zip(blocks, indices)): coeff for (blocks, indices), coeff in f.terms.items()}
     return NCPolynomial(terms, constant=f.constant)
-
-
-@dataclass
-class MatrixAssignment:
-    """Matrices for (block, index) variables of a form, all dim x dim."""
-
-    dim: int
-    matrices: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be positive")
-        for var, m in self.matrices.items():
-            m = np.asarray(m)
-            if m.shape != (self.dim, self.dim):
-                raise ValueError(f"matrix for {var} has shape {m.shape}, expected {(self.dim, self.dim)}")
-            self.matrices[var] = m
-
-    def max_operator_norm(self) -> float:
-        if not self.matrices:
-            return 0.0
-        return max(operator_norm_svd(m) for m in self.matrices.values())
-
-    def is_contractive(self, tol: float = 1e-9) -> bool:
-        """All assigned matrices have operator norm at most 1 + tol."""
-        return self.max_operator_norm() <= 1.0 + tol
-
-
-def evaluate_form(f: BlockMultilinearForm, assignment: MatrixAssignment,
-                  allow_zero_default: bool = False) -> np.ndarray:
-    """Evaluate a form at a matrix assignment.
-
-    The constant contributes constant * identity.  Variables occurring in
-    f but missing from the assignment raise, unless ``allow_zero_default``
-    is set, in which case they evaluate to the zero matrix (used by
-    pipelines that deliberately zero out whole blocks).
-    """
-    n = assignment.dim
-    total = np.zeros((n, n), dtype=complex)
-    if f.constant != 0.0:
-        total += f.constant * np.eye(n)
-    zero = np.zeros((n, n), dtype=complex)
-    for (blocks, indices), coeff in f.terms.items():
-        prod = coeff * np.eye(n, dtype=complex)
-        for var in zip(blocks, indices):
-            m = assignment.matrices.get(var)
-            if m is None:
-                if not allow_zero_default:
-                    raise ValueError(f"variable {var} is not assigned (pass allow_zero_default=True to zero it)")
-                m = zero
-            prod = prod @ m
-        total = total + prod
-    return total

@@ -11,11 +11,11 @@ into v).  T is then a homogeneous degree-d block-multilinear form with
 completely bounded norm at most 1, and the acceptance probability of
 the underlying algorithm is T(x)^2.
 
-Extraction recovers the coefficient tensor.  Two routes are kept
-deliberately separate: an algebraic expansion that threads the oracle
-splits through the unitaries (fast path), and Fourier inversion by
-exhaustive evaluation over the cube (reference path).  They must agree
-to 1e-12 and the test suite compares them.
+Extraction recovers the coefficient tensor by an algebraic expansion
+that threads the oracle splits through the unitaries.  The reference
+route, Fourier inversion by exhaustive evaluation over the cube, lives
+with the test oracles in ``tests/oracles.py``; the test suite checks
+that the two agree to 1e-12.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import numpy as np
 from .forms import BlockMultilinearForm, _payload_int
 from .matnum import Seed, haar_orthogonal
 
-EXTRACT_CUBE_CAP = 20
 ORTHOGONALITY_TOL = 1e-10
 
 
@@ -128,7 +127,7 @@ class QuantumQueryCircuit:
 
 
 def extract_form(c: QuantumQueryCircuit) -> BlockMultilinearForm:
-    """Coefficient tensor of T by algebraic expansion (fast path).
+    """Coefficient tensor of T by algebraic expansion.
 
     Each oracle splits the running row vector by queried index; the
     result is homogeneous of degree d with coefficient
@@ -153,42 +152,6 @@ def extract_form(c: QuantumQueryCircuit) -> BlockMultilinearForm:
         if val != 0.0:
             terms[(blocks, idx)] = val
     return BlockMultilinearForm(d, n, 0.0, terms)
-
-
-def extract_form_fourier(c: QuantumQueryCircuit, cap: int = EXTRACT_CUBE_CAP) -> BlockMultilinearForm:
-    """Coefficient recovery by Fourier inversion over the full cube
-    (reference path): fhat_S = E[T(x) chi_S(x)] for every monomial key,
-    including keys the fast path produces with coefficient zero."""
-    n, d = c.n, c.d
-    nv = n * d
-    if nv > cap:
-        raise ValueError(f"cap exceeded: n*d = {nv} > cap {cap}")
-    npts = 1 << nv
-    # all inputs at once; X[p, b, i] is the sign of variable (b, i) at point p
-    bits = (np.arange(npts, dtype=np.uint32)[:, None] >> np.arange(nv, dtype=np.uint32)) & 1
-    signs = 1.0 - 2.0 * bits.astype(float)
-    x_all = signs.reshape(npts, d, n)
-
-    states = np.broadcast_to(c.v[:, None], (c.dim, npts)).copy()
-    for b in range(d - 1, -1, -1):
-        oracle = np.repeat(x_all[:, b, :], c.s, axis=1).T
-        states = c.unitaries[b] @ (oracle * states)
-    values = c.u @ states
-
-    constant = float(values.mean())
-    terms = {}
-    # every block-multilinear key: nonempty block subset, one index per block
-    for mask in range(1, 1 << d):
-        blocks = tuple(b for b in range(d) if (mask >> b) & 1)
-        shape = (n,) * len(blocks)
-        for indices in np.ndindex(*shape):
-            chi = np.ones(npts)
-            for b, i in zip(blocks, indices):
-                chi = chi * x_all[:, b, i]
-            coeff = float(np.mean(values * chi))
-            if coeff != 0.0:
-                terms[(blocks, tuple(int(i) for i in indices))] = coeff
-    return BlockMultilinearForm(d, n, constant, terms)
 
 
 # -- generators ----------------------------------------------------------
@@ -261,16 +224,6 @@ def forrelation_circuit(n: int, k: int = 2) -> QuantumQueryCircuit:
                                unitaries=unitaries)
 
 
-def identity_circuit(n: int, d: int, s: int = 1) -> QuantumQueryCircuit:
-    """All unitaries identity, u = v = first basis vector: T(x) is the
-    product x_1(1) x_2(1) ... x_d(1)."""
-    dim = n * s
-    e0 = np.zeros(dim)
-    e0[0] = 1.0
-    return QuantumQueryCircuit(n=n, s=s, d=d, u=e0.copy(), v=e0.copy(),
-                               unitaries=[np.eye(dim) for _ in range(d)])
-
-
 def random_circuit(n: int, s: int, d: int, seed: Seed) -> QuantumQueryCircuit:
     """Haar-orthogonal unitaries and Gaussian-normalized u, v."""
     dim = n * s
@@ -281,25 +234,3 @@ def random_circuit(n: int, s: int, d: int, seed: Seed) -> QuantumQueryCircuit:
     v /= np.linalg.norm(v)
     unitaries = [haar_orthogonal(dim, rng) for _ in range(d)]
     return QuantumQueryCircuit(n=n, s=s, d=d, u=u, v=v, unitaries=unitaries)
-
-
-def lift_repeated_oracle(c: QuantumQueryCircuit) -> QuantumQueryCircuit:
-    """Lift a circuit that queries one string z at every query into a
-    block-multilinear circuit on n+1 variables per block.
-
-    The extra variable is a fresh constant slot: each unitary extends
-    block-diagonally by the identity on the slot's workspace, and u, v
-    extend by zeros.  Feeding x_b = (z, 1) for every b reproduces the
-    original amplitude at z; the lifted amplitude extracts to a form
-    whose diagonal slice is the original acceptance behavior.
-    """
-    n, s, d = c.n, c.s, c.d
-    dim_new = (n + 1) * s
-    u = np.concatenate([c.u, np.zeros(s)])
-    v = np.concatenate([c.v, np.zeros(s)])
-    unitaries = []
-    for mat in c.unitaries:
-        big = np.eye(dim_new)
-        big[: n * s, : n * s] = mat
-        unitaries.append(big)
-    return QuantumQueryCircuit(n=n + 1, s=s, d=d, u=u, v=v, unitaries=unitaries)

@@ -2,10 +2,10 @@
 
 The simulator repeatedly queries the variable with the largest
 influence of the current restricted form, restricts, and stops once the
-restricted variance drops to the policy threshold (default eps^2 *
-delta, so Chebyshev bounds the failure probability of the mean output
-by delta) or the query budget runs out.  The output is the expectation
-of the final restriction.
+restricted variance drops to the policy threshold (eps^2 * delta, so
+Chebyshev bounds the failure probability of the mean output by delta)
+or the query budget runs out.  The output is the expectation of the
+final restriction.
 
 The queries depend only on the answers so far, so the simulator is a
 decision tree.  ``simulate_on_input`` walks one root-to-leaf path
@@ -20,6 +20,7 @@ is an ordinary outcome, reported in the transcript, never an error.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,23 +32,28 @@ ERROR_PROFILE_CAP = 20
 
 @dataclass
 class SimulationPolicy:
-    """Stopping rule: variance threshold (default eps^2 * delta) and a
-    hard query budget."""
+    """Stopping rule: variance threshold eps^2 * delta and a hard query
+    budget."""
 
     epsilon: float
     delta: float
     query_budget: int
-    variance_threshold: float | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0 or self.delta <= 0:
-            raise ValueError("epsilon and delta must be positive")
+        # NaN fails every comparison, so test for finiteness explicitly
+        for name in ("epsilon", "delta"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         if self.query_budget < 1:
             raise ValueError("query budget must be at least 1")
-        if self.variance_threshold is None:
-            self.variance_threshold = self.epsilon ** 2 * self.delta
         if self.variance_threshold <= 0:
-            raise ValueError("variance threshold must be positive")
+            raise ValueError(f"variance threshold eps^2 * delta must be positive, "
+                             f"got {self.variance_threshold}")
+
+    @property
+    def variance_threshold(self) -> float:
+        return self.epsilon ** 2 * self.delta
 
 
 @dataclass

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forms import BlockMultilinearForm
-from .matnum import (DEFAULT_DIM_SCHEDULE, Seed, haar_unitary, operator_norm,
-                     operator_norm_svd, polar)
+from .matnum import (DEFAULT_DIM_SCHEDULE, Seed, haar_unitary, operator_norm_svd, polar,
+                     unitarity_residual)
 from .ncpoly import NCPolynomial, evaluate_nc, form_to_ncpoly
 from .quantum import address_form
 
@@ -84,9 +84,13 @@ def influence_floor(f: BlockMultilinearForm) -> float:
     return var * var / (math.e * (f.d + 1) ** 4)
 
 
-def check_influence_floor(f: BlockMultilinearForm) -> bool:
-    _, _, maxinf = f.max_influence()
-    return maxinf >= influence_floor(f)
+def _check_schedule(schedule) -> tuple[int, ...]:
+    """The dimension schedule as ints: nonempty, every entry at least 1."""
+    schedule = tuple(int(dim) for dim in schedule)
+    if not schedule or min(schedule) < 1:
+        raise ValueError(f"dimension schedule must be nonempty with every entry at least 1, "
+                         f"got {list(schedule)}")
+    return schedule
 
 
 # -- sign baseline -------------------------------------------------------
@@ -269,7 +273,7 @@ def polar_witness(p: NCPolynomial, outer_vars, dim: int, seed: Seed,
         norm_sum += q.l2_norm()
 
     value = evaluate_nc(p, assignment, dim=dim) if not p.is_zero() else np.zeros((dim, dim))
-    achieved = operator_norm(value)
+    achieved = operator_norm_svd(value)
 
     deg = p.degree()
     if p.is_homogeneous():
@@ -277,9 +281,7 @@ def polar_witness(p: NCPolynomial, outer_vars, dim: int, seed: Seed,
     else:
         target = norm_sum / (math.sqrt(math.e) * (deg + 1))
 
-    residual = 0.0
-    for mat in assignment.values():
-        residual = max(residual, operator_norm_svd(mat @ mat.conj().T - np.eye(dim)))
+    residual = max((unitarity_residual(mat) for mat in assignment.values()), default=0.0)
     method = "polar-homogeneous" if p.is_homogeneous() else "polar-general"
     report = WitnessReport(method=method, achieved=achieved, target=target, N=dim,
                            seed=seed, unitarity_residual=residual,
@@ -300,6 +302,7 @@ def root_influence_witness(f: BlockMultilinearForm, side: str = "first",
         raise ValueError("side must be 'first' or 'last'")
     if not f.is_homogeneous():
         raise ValueError("root-influence witness requires a homogeneous form")
+    schedule = _check_schedule(schedule)
     t0 = time.perf_counter()
     d = f.d
     b = 0 if side == "first" else d - 1
@@ -307,7 +310,7 @@ def root_influence_witness(f: BlockMultilinearForm, side: str = "first",
     target = float(np.sqrt(inf).sum() / math.sqrt(math.e * (d + 1)))
     if f.num_terms() == 0:
         return WitnessReport(method="polar-homogeneous", achieved=0.0, target=0.0,
-                             N=int(schedule[0]), seed=seed, unitarity_residual=0.0,
+                             N=schedule[0], seed=seed, unitarity_residual=0.0,
                              selected_block=b, wall_time_s=time.perf_counter() - t0)
 
     p = form_to_ncpoly(f)
@@ -315,8 +318,7 @@ def root_influence_witness(f: BlockMultilinearForm, side: str = "first",
     polar_side = "left" if side == "first" else "right"
     best = None
     for dim in schedule:
-        child = seed.child(int(dim))
-        rep, _ = polar_witness(p, outer, int(dim), child, side=polar_side)
+        rep, _ = polar_witness(p, outer, dim, seed.child(dim), side=polar_side)
         if best is None or rep.achieved > best.achieved:
             best = rep
     return WitnessReport(method="polar-homogeneous", achieved=best.achieved,
@@ -334,12 +336,13 @@ def general_form_witness(f: BlockMultilinearForm, schedule=DEFAULT_DIM_SCHEDULE,
     the remaining tail plus the constant ride along as q_0.  Targets
     Var[f] / (sqrt(e) (d+1)^2 MaxInf(f)^{1/2}).
     """
+    schedule = _check_schedule(schedule)
     t0 = time.perf_counter()
     d = f.d
     var = f.variance()
     if var == 0.0:
         return WitnessReport(method="polar-general", achieved=abs(f.constant),
-                             target=0.0, N=int(schedule[0]), seed=seed,
+                             target=0.0, N=schedule[0], seed=seed,
                              unitarity_residual=0.0, selected_block=None,
                              wall_time_s=time.perf_counter() - t0)
     parts = f.leading_block_decomposition()
@@ -358,8 +361,7 @@ def general_form_witness(f: BlockMultilinearForm, schedule=DEFAULT_DIM_SCHEDULE,
 
     best = None
     for dim in schedule:
-        child = seed.child(int(dim))
-        rep, _ = polar_witness(p, outer, int(dim), child, side="left")
+        rep, _ = polar_witness(p, outer, dim, seed.child(dim), side="left")
         if best is None or rep.achieved > best.achieved:
             best = rep
     return WitnessReport(method="polar-general", achieved=best.achieved,

@@ -1,9 +1,15 @@
 """Independent brute-force oracles used to pin expected values.
 
 Everything here recomputes quantities from first principles (full cube
-enumeration, naive rewriting, exhaustive matching enumeration) without
-reusing the package's Fourier-side shortcuts, so tests compare two
-genuinely different routes to each number.
+enumeration, naive rewriting, exhaustive matching enumeration, plain
+matrix product loops) without reusing the package's Fourier-side
+shortcuts, so tests compare two genuinely different routes to each
+number.  The reference routes the package does not need at run time
+live here too: Fourier extraction of circuits, moment words and their
+consistent pairings, and the trace inner product.
+
+The module imports only the standard library, numpy and cbforms, so it
+can also be loaded by path outside the test suite.
 """
 
 import itertools
@@ -11,7 +17,11 @@ from fractions import Fraction
 
 import numpy as np
 
-from cbforms import simulate_on_input
+from cbforms import (BlockMultilinearForm, QuantumQueryCircuit, enumerate_star_pairings,
+                     reduce_word, simulate_on_input)
+from cbforms.freecomb import PAIRING_CAP, _check_generator_poly, _color, _exact_terms
+
+EXTRACT_CUBE_CAP = 20
 
 
 def cube_points(d, n):
@@ -71,6 +81,24 @@ def error_profile_pointwise(f, policy):
     return errors, queries
 
 
+def evaluate_form(f, mats, dim):
+    """A form at a matrix assignment {(block, index): dim x dim matrix} by
+    a plain product loop: the constant times the identity plus, per term,
+    the coefficient times the block-ordered product of its matrices.
+    Every variable of the form must be assigned."""
+    total = np.zeros((dim, dim), dtype=complex)
+    if f.constant != 0.0:
+        total += f.constant * np.eye(dim)
+    for (blocks, indices), coeff in f.terms.items():
+        prod = coeff * np.eye(dim, dtype=complex)
+        for var in zip(blocks, indices):
+            if var not in mats:
+                raise ValueError(f"variable {var} is not assigned")
+            prod = prod @ mats[var]
+        total = total + prod
+    return total
+
+
 def sup_norm_bruteforce_naive(f):
     return max(abs(eval_terms(f.constant, f.terms, x)) for x in cube_points(f.d, f.n))
 
@@ -86,7 +114,79 @@ def max_influence_bruteforce(f):
     return best
 
 
+# -- circuits --------------------------------------------------------------
+
+
+def identity_circuit(n, d, s=1):
+    """All unitaries identity, u = v = first basis vector: T(x) is the
+    product x_1(1) x_2(1) ... x_d(1)."""
+    dim = n * s
+    e0 = np.zeros(dim)
+    e0[0] = 1.0
+    return QuantumQueryCircuit(n=n, s=s, d=d, u=e0.copy(), v=e0.copy(),
+                               unitaries=[np.eye(dim) for _ in range(d)])
+
+
+def extract_form_fourier(c, cap=EXTRACT_CUBE_CAP):
+    """Coefficient recovery by Fourier inversion over the full cube:
+    fhat_S = E[T(x) chi_S(x)] for every monomial key, including keys the
+    algebraic extraction produces with coefficient zero."""
+    n, d = c.n, c.d
+    nv = n * d
+    if nv > cap:
+        raise ValueError(f"cap exceeded: n*d = {nv} > cap {cap}")
+    npts = 1 << nv
+    # all inputs at once; X[p, b, i] is the sign of variable (b, i) at point p
+    bits = (np.arange(npts, dtype=np.uint32)[:, None] >> np.arange(nv, dtype=np.uint32)) & 1
+    signs = 1.0 - 2.0 * bits.astype(float)
+    x_all = signs.reshape(npts, d, n)
+
+    states = np.broadcast_to(c.v[:, None], (c.dim, npts)).copy()
+    for b in range(d - 1, -1, -1):
+        oracle = np.repeat(x_all[:, b, :], c.s, axis=1).T
+        states = c.unitaries[b] @ (oracle * states)
+    values = c.u @ states
+
+    constant = float(values.mean())
+    terms = {}
+    # every block-multilinear key: nonempty block subset, one index per block
+    for mask in range(1, 1 << d):
+        blocks = tuple(b for b in range(d) if (mask >> b) & 1)
+        shape = (n,) * len(blocks)
+        for indices in np.ndindex(*shape):
+            chi = np.ones(npts)
+            for b, i in zip(blocks, indices):
+                chi = chi * x_all[:, b, i]
+            coeff = float(np.mean(values * chi))
+            if coeff != 0.0:
+                terms[(blocks, tuple(int(i) for i in indices))] = coeff
+    return BlockMultilinearForm(d, n, constant, terms)
+
+
 # -- word rewriting -------------------------------------------------------
+
+
+def make_word(letters):
+    return tuple((int(gen), bool(star)) for gen, star in letters)
+
+
+def word_trace(word):
+    """Canonical trace of a word in free Haar unitaries: 1 if the word
+    reduces to the identity, else 0."""
+    return 1 if len(reduce_word(word)) == 0 else 0
+
+
+def moment_word(monomials):
+    """Word u_{i_1} u*_{j_1} u_{i_2} u*_{j_2} ... for alternating monomial
+    tuples (i_1, j_1, i_2, ...).  Starred factors reverse their letters
+    because (u_a u_b)* = u_b* u_a*."""
+    word = []
+    for k, mono in enumerate(monomials):
+        if k % 2 == 0:
+            word.extend((int(g), False) for g in mono)
+        else:
+            word.extend((int(g), True) for g in reversed(mono))
+    return tuple(word)
 
 
 def reduce_word_naive(word, rng=None):
@@ -152,7 +252,40 @@ def star_pairings_naive(d, m):
     return sorted(set(out))
 
 
+def consistent_pairings(word, d, m, cap=PAIRING_CAP):
+    """Star pairings that only match positions carrying the same
+    generator.  ``word`` must have the alternating-star block structure
+    of length 2dm (plain blocks at even block positions)."""
+    word = make_word(word)
+    size = 2 * d * m
+    if len(word) != size:
+        raise ValueError(f"word length {len(word)} != 2dm = {size}")
+    for pos, (gen, star) in enumerate(word):
+        if star != bool(_color(pos, d)):
+            raise ValueError(f"position {pos} has star={star}, expected {bool(_color(pos, d))}")
+    return [sp for sp in enumerate_star_pairings(d, m, cap=cap)
+            if all(word[a][0] == word[b][0] for a, b in sp.pairs)]
+
+
 # -- free moments ----------------------------------------------------------
+
+
+def trace_inner_product(p, q):
+    """tr(p q*) for polynomials in the generators, via word reduction
+    over all monomial pairs.  Only identical monomials survive, so the
+    monomials of the generators are orthonormal and tr(p p*) is the
+    squared l2 norm.  Exact integers when every coefficient is integral."""
+    _check_generator_poly(p)
+    _check_generator_poly(q)
+    pt, p_int = _exact_terms(p)
+    qt, q_int = _exact_terms(q)
+    total = 0 if (p_int and q_int) else 0.0
+    for wp, cp in pt:
+        for wq, cq in qt:
+            if word_trace(moment_word([wp, wq])):
+                total = total + cp * cq
+    return total
+
 
 
 def trace_moment_naive(p, m):

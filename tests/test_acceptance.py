@@ -11,16 +11,16 @@ import time
 
 import numpy as np
 
-from cbforms import (BlockMultilinearForm, NCPolynomial, Seed,
-                     SimulationPolicy, address_form, enumerate_star_pairings,
-                     error_profile, evaluate_nc, extract_form,
-                     forrelation_circuit, fuss_catalan, influence_floor,
-                     lift_repeated_oracle, moment_upper_bound, random_circuit,
+from cbforms import (NCPolynomial, Seed, SimulationPolicy, address_form,
+                     enumerate_star_pairings, error_profile, evaluate_nc,
+                     extract_form, forrelation_circuit, fuss_catalan,
+                     influence_floor, moment_upper_bound, random_circuit,
                      random_form, root_influence_witness,
-                     scalar_phase_address_witness, trace_inner_product,
-                     trace_moment_exact)
+                     scalar_phase_address_witness, trace_moment_exact)
 from cbforms.cli import main as cli_main
 from cbforms.matnum import haar_unitary, operator_norm_svd
+
+from oracles import trace_inner_product
 
 
 def _report(name):
@@ -165,18 +165,8 @@ def test_extraction_round_trip_on_full_cubes():
             bits = (point >> np.arange(num_vars)) & 1
             x = (1.0 - 2.0 * bits).reshape(d, n)
             assert abs(f.evaluate(x) - c.amplitude(x)) <= 1e-12
-    # repeated-oracle lifting agrees on the diagonal slice
-    for d in (1, 2, 3, 4):
-        c = random_circuit(2, 1, d, seed=Seed(77 + d))
-        lifted = lift_repeated_oracle(c)
-        for point in range(1 << 2):
-            z = 1.0 - 2.0 * ((point >> np.arange(2)) & 1)
-            x = np.tile(z, (d, 1))
-            x_lift = np.tile(np.append(z, 1.0), (d, 1))
-            assert abs(lifted.amplitude(x_lift) - c.amplitude(x)) <= 1e-12
     assert time.perf_counter() - t0 < 120.0
-    _report("amplitude extraction exact on full cubes up to 16 variables, "
-            "lifting exact on diagonals up to 4 queries")
+    _report("amplitude extraction exact on full cubes up to 16 variables")
 
 
 def test_greedy_simulation_of_forrelation():

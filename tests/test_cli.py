@@ -258,6 +258,22 @@ def test_witness_polar_general(capsys, tmp_path):
     assert payload["N"] in (16, 32)
 
 
+@pytest.mark.parametrize("method, payload, schedule", [
+    # zero variance: the general witness returns before any polar run
+    ("polar-general", {"d": 1, "n": 1, "constant": 0.5, "terms": []}, "0"),
+    ("polar-homogeneous", {"d": 2, "n": 2, "constant": 0, "terms": []}, "-8"),
+    ("polar-homogeneous", {"d": 2, "n": 2, "constant": 0, "terms": []}, "16,0"),
+])
+def test_witness_schedule_below_one_exits_one(capsys, tmp_path, method, payload, schedule):
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(payload))
+    rc, out, err = run(capsys, "witness", str(path), method, "--schedule", schedule)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: dimension schedule")
+    assert err.count("\n") == 1
+
+
 # -- simulate -------------------------------------------------------------------
 
 
@@ -276,6 +292,20 @@ def test_simulate_payload(capsys, tmp_path):
     fracs = [r["achieved_failing_fraction"] for r in payload["rows"]]
     assert fracs[1] <= fracs[0]
     assert payload["rows"][1]["achieved_failing_fraction"] <= 0.25
+
+
+@pytest.mark.parametrize("flag, value", [("--eps", "nan"), ("--eps", "inf"),
+                                         ("--delta", "nan"), ("--delta", "inf")])
+def test_simulate_non_finite_parameters_exit_one(capsys, tmp_path, flag, value):
+    path = gen_address(capsys, tmp_path, d=1)
+    out_path = tmp_path / "sim.json"
+    rc, out, err = run(capsys, "simulate", str(path), flag, value, "--budget", "1,4",
+                       "--out", str(out_path))
+    assert rc == 1
+    assert out == ""
+    assert err.startswith(f"error: {flag[2:]}") and "finite" in err
+    assert err.count("\n") == 1
+    assert not out_path.exists()
 
 
 def test_simulate_reads_generated_circuit(capsys, tmp_path):

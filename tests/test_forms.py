@@ -8,7 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from cbforms import BlockMultilinearForm, Seed, enumerate_cube, random_form, zero_form
+from cbforms import BlockMultilinearForm, Seed, random_form
 from strategies import small_forms
 
 
@@ -134,23 +134,22 @@ def test_influence_table_consistency(f):
     for b in range(f.d):
         for i in range(f.n):
             assert table[b, i] == pytest.approx(f.influence(b, i), abs=1e-15)
-        assert f.sum_block_influence(b) == pytest.approx(float(table[b].sum()),
-                                                         abs=1e-15)
+        block_sum = sum(f.influence(b, i) for i in range(f.n))
+        assert float(table[b].sum()) == pytest.approx(block_sum, rel=1e-12, abs=1e-15)
 
 
 @given(small_forms(homogeneous=True, with_constant=False))
 def test_homogeneous_block_influence_sums_equal_variance(f):
-    for b in range(f.d):
-        assert f.sum_block_influence(b) == pytest.approx(f.variance(),
-                                                         rel=1e-12, abs=1e-12)
+    for block_sum in f.influences().sum(axis=1):
+        assert block_sum == pytest.approx(f.variance(), rel=1e-12, abs=1e-12)
 
 
 @given(small_forms())
 def test_block_influence_sum_bracketed_by_variance(f):
     var = f.variance()
     total = float(f.influences().sum())
-    for b in range(f.d):
-        assert f.sum_block_influence(b) <= var + 1e-12
+    for block_sum in f.influences().sum(axis=1):
+        assert block_sum <= var + 1e-12
     assert var <= total + 1e-12
 
 
@@ -174,7 +173,7 @@ def test_max_influence_tie_breaks_low_block_then_low_index():
     assert g.max_influence() == (0, 0, 0.25)
     h = BlockMultilinearForm(2, 2, 0.0, {((0, 1), (1, 0)): 1.0})
     assert h.max_influence() == (0, 1, 1.0)
-    assert zero_form(2, 3).max_influence() == (0, 0, 0.0)
+    assert BlockMultilinearForm(2, 3).max_influence() == (0, 0, 0.0)
 
 
 # -- restriction ----------------------------------------------------------
@@ -249,7 +248,7 @@ def test_sup_norm_explicit_values():
     assert f.sup_norm_bruteforce() == 1.0
     g = BlockMultilinearForm(1, 2, 0.5, {((0,), (0,)): 1.0})
     assert g.sup_norm_bruteforce() == 1.5
-    assert zero_form(2, 2).sup_norm_bruteforce() == 0.0
+    assert BlockMultilinearForm(2, 2).sup_norm_bruteforce() == 0.0
 
 
 def test_sup_norm_enumerates_support_only():
@@ -267,22 +266,6 @@ def test_sup_norm_cap_counts_support_variables():
 
 
 # -- structure ---------------------------------------------------------------
-
-
-@given(small_forms())
-def test_homogeneous_parts_reassemble(f):
-    merged = {}
-    const = 0.0
-    for k in range(f.d + 1):
-        part = f.homogeneous_part(k)
-        const += part.constant
-        for key, c in part.terms.items():
-            assert len(key[0]) == k
-            merged[key] = c
-    assert const == f.constant
-    assert merged == f.terms
-    with pytest.raises(ValueError):
-        f.homogeneous_part(f.d + 1)
 
 
 def test_leading_block_decomposition_explicit():
@@ -310,7 +293,7 @@ def test_leading_block_decomposition_reassembles(f):
 
 
 def test_degree_homogeneity_support_flags():
-    z = zero_form(2, 2)
+    z = BlockMultilinearForm(2, 2)
     assert z.degree() == 0 and z.is_homogeneous() and z.support() == []
     c = BlockMultilinearForm(2, 2, 1.5)
     assert c.degree() == 0 and not c.is_homogeneous()
@@ -401,11 +384,3 @@ def test_random_form_general_mode_and_infeasible_request():
     assert g.degree() <= 3
     with pytest.raises(ValueError):
         random_form(1, 1, 2, Seed(0))
-
-
-def test_enumerate_cube_order_and_count():
-    pts = list(enumerate_cube(2))
-    assert len(pts) == 4
-    assert np.array_equal(pts[0], [1.0, 1.0])
-    assert np.array_equal(pts[1], [-1.0, 1.0])   # bit 0 flips first
-    assert np.array_equal(pts[3], [-1.0, -1.0])

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbforms import (QuantumQueryCircuit, addr_index, address_form,
-                     enumerate_cube, extract_form, extract_form_fourier,
-                     forrelation_circuit, identity_circuit,
-                     lift_repeated_oracle, random_circuit)
+from cbforms import (QuantumQueryCircuit, addr_index, address_form, extract_form,
+                     forrelation_circuit, random_circuit)
 from cbforms.matnum import Seed, haar_orthogonal
+
+from oracles import extract_form_fourier, identity_circuit
 
 
 def sign_point(d, n, point):
@@ -240,41 +240,6 @@ def test_address_influence_scaling():
         table = f.influences()
         assert np.all(table[d] == 2.0 ** -d)
         assert np.sqrt(table[d]).sum() == pytest.approx(2 ** (d / 2), abs=1e-12)
-
-
-# -- lifting -------------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("n,s,d", [(2, 1, 2), (2, 2, 2), (3, 1, 4), (2, 1, 3)])
-def test_lift_agrees_on_diagonal(n, s, d):
-    c = random_circuit(n, s, d, seed=Seed(5 * n + d))
-    lifted = lift_repeated_oracle(c)
-    assert lifted.n == n + 1 and lifted.d == d
-    for z in enumerate_cube(n):
-        x = np.tile(z, (d, 1))
-        x_lift = np.tile(np.append(z, 1.0), (d, 1))
-        assert lifted.amplitude(x_lift) == pytest.approx(
-            c.amplitude(x), abs=1e-12)
-
-
-def test_lift_preserves_constant_algorithm():
-    # transition amplitude between orthogonal endpoints stays zero
-    n, s, d = 2, 1, 2
-    u = np.array([1.0, 0.0])
-    v = np.array([0.0, 1.0])
-    mats = [np.eye(2) for _ in range(d)]
-    c = QuantumQueryCircuit(n, s, d, u, v, mats)
-    lifted = lift_repeated_oracle(c)
-    for z in enumerate_cube(n):
-        x_lift = np.tile(np.append(z, 1.0), (d, 1))
-        assert abs(lifted.amplitude(x_lift)) < 1e-12
-
-
-def test_lifted_extraction_is_homogeneous():
-    c = random_circuit(2, 1, 2, seed=Seed(44))
-    f = extract_form(lift_repeated_oracle(c))
-    assert f.n == 3 and f.d == 2
-    assert f.is_homogeneous()
 
 
 def test_forrelation_chain_all_ones_closed_form():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cbforms import (BlockMultilinearForm, SimulationPolicy, error_profile,
                      extract_form, forrelation_circuit, reference_query_bound,
-                     simulate_on_input, zero_form)
+                     simulate_on_input)
 
 from oracles import error_profile_pointwise
 from strategies import small_forms
@@ -19,16 +19,32 @@ from strategies import small_forms
 def test_policy_defaults_and_validation():
     pol = SimulationPolicy(epsilon=0.5, delta=0.1, query_budget=8)
     assert pol.variance_threshold == pytest.approx(0.025, abs=1e-15)
-    explicit = SimulationPolicy(0.5, 0.1, 8, variance_threshold=0.3)
-    assert explicit.variance_threshold == 0.3
     with pytest.raises(ValueError):
         SimulationPolicy(0.0, 0.1, 8)
     with pytest.raises(ValueError):
         SimulationPolicy(0.5, -0.1, 8)
     with pytest.raises(ValueError):
         SimulationPolicy(0.5, 0.1, 0)
+    # eps^2 * delta underflows to zero
     with pytest.raises(ValueError):
-        SimulationPolicy(0.5, 0.1, 8, variance_threshold=-1.0)
+        SimulationPolicy(1e-200, 1e-200, 8)
+
+
+def test_variance_threshold_is_derived_and_read_only():
+    pol = SimulationPolicy(epsilon=0.3, delta=0.7, query_budget=4)
+    assert pol.variance_threshold == 0.3 ** 2 * 0.7
+    with pytest.raises(AttributeError):
+        pol.variance_threshold = 0.5
+    with pytest.raises(TypeError):
+        SimulationPolicy(0.5, 0.1, 8, variance_threshold=0.3)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("field", ["epsilon", "delta"])
+def test_policy_rejects_non_finite_parameters(field, value):
+    params = {"epsilon": 0.25, "delta": 0.25, "query_budget": 4, field: value}
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SimulationPolicy(**params)
 
 
 # -- single runs ------------------------------------------------------------------
@@ -68,7 +84,7 @@ def test_greedy_queries_highest_influence_first():
 
 
 def test_input_shape_is_validated():
-    f = zero_form(2, 2)
+    f = BlockMultilinearForm(2, 2)
     with pytest.raises(ValueError):
         simulate_on_input(f, SimulationPolicy(0.25, 0.25, 1), np.ones((2, 3)))
 

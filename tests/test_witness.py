@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 
 from cbforms import (BlockMultilinearForm, NCPolynomial, Seed, WitnessReport,
-                     address_form, check_influence_floor, evaluate_nc,
-                     general_form_witness, influence_floor, polar_witness,
-                     random_form, root_influence_witness,
-                     scalar_phase_address_witness, scalar_phase_assignment,
-                     sign_baseline, zero_form)
+                     address_form, evaluate_nc, general_form_witness,
+                     influence_floor, polar_witness, random_form,
+                     root_influence_witness, scalar_phase_address_witness,
+                     scalar_phase_assignment, sign_baseline)
 from cbforms.matnum import operator_norm_svd
 
 from strategies import small_forms
@@ -23,7 +22,7 @@ from strategies import small_forms
 def test_influence_floor_value():
     f = address_form(1)  # variance 1, three blocks total? no: d = 2
     assert influence_floor(f) == pytest.approx(1.0 / (math.e * 81), abs=1e-15)
-    assert check_influence_floor(f)
+    assert f.max_influence()[2] >= influence_floor(f)
 
 
 def test_influence_floor_violated_by_unbounded_form():
@@ -33,7 +32,6 @@ def test_influence_floor_violated_by_unbounded_form():
     terms = {((0,), (i,)): 1.0 for i in range(10)}
     f = BlockMultilinearForm(1, 10, 0.0, terms)
     assert influence_floor(f) > f.max_influence()[2]
-    assert not check_influence_floor(f)
 
 
 # -- sign baseline ----------------------------------------------------------------
@@ -64,7 +62,7 @@ def test_sign_baseline_validation_and_trivial_cases():
                       trials=4, seed=Seed(0))
     with pytest.raises(ValueError):
         sign_baseline(address_form(1), trials=0, seed=Seed(0))
-    rep = sign_baseline(zero_form(2, 2), trials=4, seed=Seed(0))
+    rep = sign_baseline(BlockMultilinearForm(2, 2), trials=4, seed=Seed(0))
     assert rep.achieved == 0.0 and rep.target == 0.0
     assert rep.selected_block is None
 
@@ -263,8 +261,19 @@ def test_root_influence_validation_and_zero_form():
     inhom = BlockMultilinearForm(2, 1, 0.0, {((0,), (0,)): 1.0})
     with pytest.raises(ValueError):
         root_influence_witness(inhom)
-    rep = root_influence_witness(zero_form(2, 2), schedule=(8,))
+    rep = root_influence_witness(BlockMultilinearForm(2, 2), schedule=(8,))
     assert rep.achieved == 0.0 and rep.target == 0.0
+
+
+@pytest.mark.parametrize("schedule", [(), (0,), (16, -8)])
+def test_schedule_is_validated_before_early_returns(schedule):
+    # the zero form and the constant form both take an early return
+    with pytest.raises(ValueError, match="schedule"):
+        root_influence_witness(BlockMultilinearForm(2, 2), schedule=schedule)
+    with pytest.raises(ValueError, match="schedule"):
+        general_form_witness(BlockMultilinearForm(1, 1, 0.5), schedule=schedule)
+    with pytest.raises(ValueError, match="schedule"):
+        general_form_witness(address_form(1), schedule=schedule)
 
 
 def test_root_influence_is_deterministic():
