@@ -37,6 +37,11 @@ from .quantum import address_form
 
 METHODS = ("sign-baseline", "scalar-phase", "polar-homogeneous", "polar-general")
 
+# The benchmark tracer (perfbench/tracer.py) wraps ``cbforms.witness.operator_norm``
+# and fails its tests if the name is missing; it stays bound to the one spectral
+# norm until the benchmark drops that row.
+operator_norm = operator_norm_svd
+
 
 @dataclass
 class WitnessReport:
