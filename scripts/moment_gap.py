@@ -33,6 +33,11 @@ def main(argv=None):
     ap.add_argument("--max-m", type=int, default=3)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args(argv)
+    for flag in ("samples", "max_degree", "max_m"):
+        value = getattr(args, flag)
+        if value < 1:
+            raise SystemExit(f"error: --{flag.replace('_', '-')} must be at least 1, "
+                             f"got {value}")
 
     cells = defaultdict(list)
     rng = Seed(args.seed).rng()

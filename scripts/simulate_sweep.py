@@ -20,13 +20,13 @@ COLUMNS = ("form", "d", "support", "budget", "failing_fraction",
            "mean_queries", "max_error")
 
 
-def sweep(name, f, budgets, eps, delta):
+def sweep(name, f, policies):
     rows = []
     support = len(f.support())
-    for budget in budgets:
-        prof = error_profile(f, SimulationPolicy(eps, delta, budget))
+    for policy in policies:
+        prof = error_profile(f, policy)
         rows.append({
-            "form": name, "d": f.d, "support": support, "budget": budget,
+            "form": name, "d": f.d, "support": support, "budget": policy.query_budget,
             "failing_fraction": prof.failing_fraction,
             "mean_queries": round(prof.mean_queries, 3),
             "max_error": round(prof.max_error, 6),
@@ -45,16 +45,19 @@ def main(argv=None):
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
+    if args.circuits < 0:
+        raise SystemExit(f"error: --circuits must be at least 0, got {args.circuits}")
+    try:
+        policies = [SimulationPolicy(args.eps, args.delta, b) for b in args.budgets]
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}") from None
 
     rows = []
-    rows += sweep("forrelation[n=4]", extract_form(forrelation_circuit(4)),
-                  args.budgets, args.eps, args.delta)
-    rows += sweep("address[2]", address_form(2), args.budgets, args.eps,
-                  args.delta)
+    rows += sweep("forrelation[n=4]", extract_form(forrelation_circuit(4)), policies)
+    rows += sweep("address[2]", address_form(2), policies)
     for k in range(args.circuits):
         c = random_circuit(4, 1, 2, seed=Seed(args.seed).child(k))
-        rows += sweep(f"random[{k}]", extract_form(c), args.budgets,
-                      args.eps, args.delta)
+        rows += sweep(f"random[{k}]", extract_form(c), policies)
 
     widths = {c: max(len(c), *(len(str(r[c])) for r in rows)) for c in COLUMNS}
     print("  ".join(c.ljust(widths[c]) for c in COLUMNS))

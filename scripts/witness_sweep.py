@@ -45,6 +45,13 @@ def main(argv=None):
     ap.add_argument("--trials", type=int, default=512)
     ap.add_argument("--out", default=None, help="also write rows to this CSV")
     args = ap.parse_args(argv)
+    if args.forms < 0:
+        raise SystemExit(f"error: --forms must be at least 0, got {args.forms}")
+    if args.trials < 1:
+        raise SystemExit(f"error: --trials must be at least 1, got {args.trials}")
+    if min(args.schedule) < 1:
+        raise SystemExit(f"error: every --schedule entry must be at least 1, "
+                         f"got {args.schedule}")
 
     master = Seed(args.seed)
     rows = []

@@ -243,7 +243,9 @@ def polar_witness(p: NCPolynomial, outer_vars, dim: int, seed: Seed,
     on the right side).  That substitution turns the sum into
     U_0 (P_0 + sum_i P_i), whose norm is at least the trace bound
     sum_i tr(P_i^2) / ||P_i||, concentrating on the free-probability
-    floor.  Returns the report and the full assignment.
+    floor.  The value m_0 + sum_i V_i M_i (M_i V_i on the right) is assembled
+    from the blocks already computed; it is p at the returned assignment,
+    which is returned with the report.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -258,9 +260,10 @@ def polar_witness(p: NCPolynomial, outer_vars, dim: int, seed: Seed,
 
     if q0.is_zero():
         u0 = np.eye(dim, dtype=complex)
+        value = np.zeros((dim, dim), dtype=complex)
     else:
-        m0 = evaluate_nc(q0, assignment, dim=dim)
-        u0 = polar(m0, side=side).unitary
+        value = evaluate_nc(q0, assignment, dim=dim)
+        u0 = polar(value, side=side).unitary
 
     norm_sum = 0.0
     for y in sorted(qs):
@@ -273,11 +276,12 @@ def polar_witness(p: NCPolynomial, outer_vars, dim: int, seed: Seed,
         u = polar(m, side=side).unitary
         if side == "left":
             assignment[y] = u0 @ u.conj().T
+            value += assignment[y] @ m
         else:
             assignment[y] = u.conj().T @ u0
+            value += m @ assignment[y]
         norm_sum += q.l2_norm()
 
-    value = evaluate_nc(p, assignment, dim=dim) if not p.is_zero() else np.zeros((dim, dim))
     achieved = operator_norm_svd(value)
 
     deg = p.degree()

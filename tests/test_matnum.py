@@ -225,4 +225,19 @@ def test_operator_norm_handles_degenerate_top_space():
 
 def test_unitarity_residual_values():
     assert unitarity_residual(np.eye(4)) < 1e-15
-    assert unitarity_residual(2.0 * np.eye(4)) == pytest.approx(3.0, abs=1e-12)
+    # (2I)(2I)* - I = 3I, whose Frobenius norm is 3 sqrt(4)
+    assert unitarity_residual(2.0 * np.eye(4)) == pytest.approx(6.0, abs=1e-12)
+
+
+@given(st.integers(1, 12), st.integers(0, 2 ** 31 - 1),
+       st.sampled_from([None, 0.0, 1e-12, 1e-6, 1e-2]))
+def test_unitarity_residual_brackets_spectral_distance(n, master, perturbation):
+    # ||A||_2 <= ||A||_F <= sqrt(n) ||A||_2 for A = m m* - I; perturbation None
+    # draws an arbitrary complex matrix, otherwise a Haar unitary plus noise
+    rng = Seed(master).rng()
+    noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    m = noise if perturbation is None else haar_unitary(n, rng) + perturbation * noise
+    spectral = operator_norm_svd(m @ m.conj().T - np.eye(n))
+    residual = unitarity_residual(m)
+    assert spectral <= residual * (1 + 1e-12)
+    assert residual <= np.sqrt(n) * spectral * (1 + 1e-12)

@@ -2,9 +2,15 @@
 
 import csv
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SRC = SCRIPTS.parent / "src"
 
 
 def load(name):
@@ -51,3 +57,39 @@ def test_simulate_sweep(capsys, tmp_path):
     # Forrelation, the address form and one random circuit at two budgets each
     assert len(rows) == len(lines) - 1 == 3 * 2
     assert [r["budget"] for r in rows] == ["1", "2"] * 3
+
+
+BAD_ARGUMENTS = [
+    ("witness_sweep", ["--trials", "0"]),
+    ("witness_sweep", ["--schedule", "0"]),
+    ("witness_sweep", ["--schedule", "8", "-8"]),
+    ("witness_sweep", ["--forms", "-1"]),
+    ("simulate_sweep", ["--budgets", "0"]),
+    ("simulate_sweep", ["--eps", "nan"]),
+    ("simulate_sweep", ["--delta", "inf"]),
+    ("simulate_sweep", ["--circuits", "-1"]),
+    ("moment_gap", ["--samples", "0"]),
+    ("moment_gap", ["--max-degree", "0"]),
+    ("moment_gap", ["--max-m", "0"]),
+]
+
+
+@pytest.mark.parametrize("name,argv", BAD_ARGUMENTS,
+                         ids=[f"{name} {' '.join(argv)}" for name, argv in BAD_ARGUMENTS])
+def test_bad_arguments_exit_with_one_line(capsys, name, argv):
+    # a string SystemExit code is printed to stderr and exits with status 1
+    with pytest.raises(SystemExit) as exc:
+        load(name).main(argv)
+    message = exc.value.code
+    assert isinstance(message, str) and message.startswith("error: ")
+    assert "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
+def test_bad_argument_exit_status_and_stderr():
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "moment_gap.py"), "--samples", "0"],
+                          capture_output=True, text=True,
+                          env=os.environ | {"PYTHONPATH": str(SRC)})
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "error: --samples must be at least 1, got 0\n"

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cbforms import (BlockMultilinearForm, NCPolynomial, Seed, WitnessReport,
-                     address_form, evaluate_nc, general_form_witness,
+                     address_form, evaluate_nc, form_to_ncpoly, general_form_witness,
                      influence_floor, polar_witness, random_form,
                      root_influence_witness, scalar_phase_address_witness,
                      scalar_phase_assignment, sign_baseline)
 from cbforms.matnum import operator_norm_svd
 
+from oracles import evaluate_form
 from strategies import small_forms
 
 
@@ -205,7 +207,6 @@ def test_polar_witness_idle_outer_variable_gets_identity():
 
 def test_polar_witness_assignment_certifies_report():
     f = random_form(2, 3, num_terms=5, seed=Seed(20))
-    from cbforms import form_to_ncpoly
     p = form_to_ncpoly(f)
     outer = [(0, i) for i in range(3) if f.influence(0, i) > 0]
     rep, assignment = polar_witness(p, outer, dim=48, seed=Seed(21))
@@ -213,6 +214,37 @@ def test_polar_witness_assignment_certifies_report():
     assert rep.unitarity_residual < 1e-8
     val = evaluate_nc(p, assignment, dim=48)
     assert operator_norm_svd(val) == pytest.approx(rep.achieved, rel=1e-9)
+
+
+# constant 0.7 and the degree-1 terms give nonzero q_0 and a constant-only
+# q_i on either side; index 2 is idle in both outer blocks
+_CONSTANT_ONLY_FORM = BlockMultilinearForm(2, 3, 0.7, {((0,), (0,)): 1.5,
+                                                       ((0, 1), (1, 1)): 1.0,
+                                                       ((1,), (0,)): -2.0})
+_ZERO_Q0_FORM = BlockMultilinearForm(2, 3, 0.0, {((0, 1), (1, 1)): 1.0,
+                                                 ((0, 1), (1, 0)): -0.5,
+                                                 ((0, 1), (0, 0)): 2.0})
+
+
+@settings(max_examples=30)
+@given(f=st.one_of(small_forms(homogeneous=True, with_constant=False), small_forms()),
+       left=st.booleans(), dim=st.integers(1, 12), master=st.integers(0, 2 ** 31 - 1))
+@example(f=_CONSTANT_ONLY_FORM, left=True, dim=8, master=0)
+@example(f=_CONSTANT_ONLY_FORM, left=False, dim=8, master=1)
+@example(f=_ZERO_Q0_FORM, left=True, dim=8, master=2)
+@example(f=_ZERO_Q0_FORM, left=False, dim=8, master=3)
+def test_polar_witness_value_is_the_form_at_its_assignment(f, left, dim, master):
+    # the report assembles m_0 + sum_i V_i M_i from the blocks; both full
+    # evaluations of p at the returned assignment must give the same norm
+    b = 0 if left else f.d - 1
+    outer = [(b, i) for i in range(f.n)]
+    p = form_to_ncpoly(f)
+    rep, assignment = polar_witness(p, outer, dim, Seed(master),
+                                    side="left" if left else "right")
+    assert rep.achieved == pytest.approx(
+        operator_norm_svd(evaluate_nc(p, assignment, dim=dim)), rel=1e-12)
+    assert rep.achieved == pytest.approx(
+        operator_norm_svd(evaluate_form(f, assignment, dim)), rel=1e-12)
 
 
 def test_polar_witness_is_deterministic():
