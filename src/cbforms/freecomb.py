@@ -17,7 +17,11 @@ drives everything here:
   the remaining monomials could cancel (d per step).  That is exact: a
   dropped prefix only ever extends to dropped prefixes, so no kept key
   loses a contribution or sees its contributions in another order, and
-  float results are bit-for-bit those of the unpruned map.
+  float results are bit-for-bit those of the unpruned map.  Internally
+  a letter is the int 2 g + star, whose inverse is the code xor 1 (for
+  0 and negative labels too), and a monomial cancels only against the
+  prefix's tail, since its letters share one star flag.  The coding is
+  one-to-one, so results are those of the letter-pair map bit for bit.
 * Star pairings: positions 1..2dm split into 2m consecutive blocks of
   d; odd-numbered blocks are colored red (plain letters), even blocks
   blue (starred letters).  ``enumerate_star_pairings`` lists all
@@ -26,7 +30,8 @@ drives everything here:
   which also upper-bounds tr[(p p*)^m] / (sum_i c_i^2)^m.
 
 Words are tuples of letters; a letter is (generator, starred) with an
-integer generator label and a boolean star flag.  Pairing positions are
+integer generator label and a boolean star flag (the int code above
+never leaves ``trace_moment_exact``).  Pairing positions are
 0-based internally and 1-based in serialized output.
 """
 
@@ -72,7 +77,14 @@ def _color(pos: int, d: int) -> int:
 
 @dataclass(frozen=True)
 class StarPairing:
-    """Non-crossing bicolored perfect matching of 2dm positions."""
+    """Non-crossing bicolored perfect matching of 2dm positions.
+
+    Validated in one linear pass: each pair is checked for integer,
+    in-range, ordered, different-colored positions not used before; once
+    the pairs cover every position, a left-to-right scan with a stack of
+    open pairs finds any crossing, since a pair closes while another
+    opened inside it is still open exactly when the two cross.
+    """
 
     d: int
     m: int
@@ -80,19 +92,27 @@ class StarPairing:
 
     def __post_init__(self):
         size = 2 * self.d * self.m
-        seen: set[int] = set()
+        partner = [-1] * size
         for a, b in self.pairs:
+            if not (isinstance(a, int) and isinstance(b, int)):
+                raise ValueError(f"pair ({a!r}, {b!r}) has a non-integer position")
             if not (0 <= a < b < size):
                 raise ValueError(f"pair ({a}, {b}) out of range for {size} positions")
             if _color(a, self.d) == _color(b, self.d):
                 raise ValueError(f"pair ({a}, {b}) joins same-colored positions")
-            seen.update((a, b))
-        if len(seen) != size or len(self.pairs) * 2 != size:
+            if partner[a] >= 0 or partner[b] >= 0:
+                raise ValueError("pairs do not form a perfect matching")
+            partner[a], partner[b] = b, a
+        if len(self.pairs) * 2 != size:
             raise ValueError("pairs do not form a perfect matching")
-        for a, b in self.pairs:
-            for c, e in self.pairs:
-                if a < c < b < e:
-                    raise ValueError(f"pairs ({a},{b}) and ({c},{e}) cross")
+        opened: list[int] = []
+        for pos, other in enumerate(partner):
+            if other > pos:
+                opened.append(pos)
+            else:
+                inner = opened.pop()
+                if inner != other:
+                    raise ValueError(f"pairs ({other},{pos}) and ({inner},{partner[inner]}) cross")
 
     def to_lists(self) -> list[list[int]]:
         """Sorted 1-based pair list for serialization."""
@@ -190,6 +210,14 @@ def trace_moment_exact(p: NCPolynomial, m: int, cap: int = TRACE_TUPLE_CAP):
     extensions would all be dropped too: every kept state receives exactly
     the contributions it received without pruning, in the same order,
     and float results are unchanged bit for bit.
+
+    Prefixes are tuples of int letter codes 2 g + star.  A monomial's
+    letters share the step's star flag, so only its first k letters can
+    cancel, against the prefix's last k, and the next prefix is
+    ``prefix[:n-k] + letters[k:]`` (length n - 2k + d), the code of
+    ``reduce_word(prefix + letters)``.  The coding is one-to-one, so the
+    states, their order and every addition are those of the letter-pair
+    map, bit for bit.
     """
     _check_generator_poly(p)
     if m < 1:
@@ -200,28 +228,29 @@ def trace_moment_exact(p: NCPolynomial, m: int, cap: int = TRACE_TUPLE_CAP):
 
     zero = 0 if integral else 0.0
     d = p.degree()
+    # letters coded as 2 g + star, with each term's inverse letters for
+    # the boundary scan; starred factors reverse their letters
+    plain = [(tuple(2 * g for g in mono), tuple(2 * g + 1 for g in mono), coeff)
+             for mono, coeff in terms]
+    starred = [(inv[::-1], letters[::-1], coeff) for letters, inv, coeff in plain]
     # transfer states: reduced word prefix -> accumulated coefficient
     states = {(): 1 if integral else 1.0}
     for step in range(2 * m):
-        starred = step % 2 == 1
+        step_terms = starred if step % 2 else plain
         # the 2m - step - 1 steps left cancel at most d letters each
         live = d * (2 * m - step - 1)
-        nxt: dict[Word, object] = {}
+        nxt: dict[tuple[int, ...], object] = {}
         for prefix, acc in states.items():
-            for mono, coeff in terms:
-                letters = (
-                    tuple((g, True) for g in reversed(mono)) if starred
-                    else tuple((g, False) for g in mono)
-                )
-                stack = list(prefix)
-                for let in letters:
-                    if stack and stack[-1][0] == let[0] and stack[-1][1] != let[1]:
-                        stack.pop()
-                    else:
-                        stack.append(let)
-                if len(stack) > live:
+            n = len(prefix)
+            reach = min(n, d)
+            for letters, inv, coeff in step_terms:
+                # the k leading letters cancel the prefix's last k
+                k = 0
+                while k < reach and prefix[n - 1 - k] == inv[k]:
+                    k += 1
+                if n - 2 * k + d > live:
                     continue
-                key = tuple(stack)
+                key = prefix[:n - k] + letters[k:]
                 nxt[key] = nxt.get(key, zero) + acc * coeff
         states = {k: v for k, v in nxt.items() if v != 0}
     return states.get((), zero)

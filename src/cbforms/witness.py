@@ -243,9 +243,10 @@ def polar_witness(p: NCPolynomial, outer_vars, dim: int, seed: Seed,
     on the right side).  That substitution turns the sum into
     U_0 (P_0 + sum_i P_i), whose norm is at least the trace bound
     sum_i tr(P_i^2) / ||P_i||, concentrating on the free-probability
-    floor.  The value m_0 + sum_i V_i M_i (M_i V_i on the right) is assembled
-    from the blocks already computed; it is p at the returned assignment,
-    which is returned with the report.
+    floor.  When q_0 is zero, U_0 is the identity and V_i = U_i* is set
+    as is.  The value m_0 + sum_i V_i M_i (M_i V_i on the right) is
+    assembled from the blocks already computed; it is p at the returned
+    assignment, which is returned with the report.
     """
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
@@ -259,7 +260,7 @@ def polar_witness(p: NCPolynomial, outer_vars, dim: int, seed: Seed,
     assignment: dict = {z: haar_unitary(dim, rng) for z in inner_vars}
 
     if q0.is_zero():
-        u0 = np.eye(dim, dtype=complex)
+        u0 = None
         value = np.zeros((dim, dim), dtype=complex)
     else:
         value = evaluate_nc(q0, assignment, dim=dim)
@@ -273,12 +274,12 @@ def polar_witness(p: NCPolynomial, outer_vars, dim: int, seed: Seed,
             assignment[y] = np.eye(dim, dtype=complex)
             continue
         m = evaluate_nc(q, assignment, dim=dim)
-        u = polar(m, side=side).unitary
+        u_adj = polar(m, side=side).unitary.conj().T
         if side == "left":
-            assignment[y] = u0 @ u.conj().T
+            assignment[y] = u_adj if u0 is None else u0 @ u_adj
             value += assignment[y] @ m
         else:
-            assignment[y] = u.conj().T @ u0
+            assignment[y] = u_adj if u0 is None else u_adj @ u0
             value += m @ assignment[y]
         norm_sum += q.l2_norm()
 

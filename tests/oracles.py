@@ -252,6 +252,27 @@ def star_pairings_naive(d, m):
     return sorted(set(out))
 
 
+def star_pairing_problem_naive(d, m, pairs):
+    """Why ``pairs`` is not a non-crossing bicolored perfect matching of
+    the 2dm positions, or None when it is: the integer check, then the
+    per-pair range and color checks, the covering count and the
+    all-pairs crossing test ``is_noncrossing``."""
+    size = 2 * d * m
+    for a, b in pairs:
+        if not (isinstance(a, int) and isinstance(b, int)):
+            return f"pair ({a!r}, {b!r}) has a non-integer position"
+    seen = set()
+    for a, b in pairs:
+        if not (0 <= a < b < size):
+            return f"pair ({a}, {b}) out of range for {size} positions"
+        if _color(a, d) == _color(b, d):
+            return f"pair ({a}, {b}) joins same-colored positions"
+        seen.update((a, b))
+    if len(seen) != size or len(pairs) * 2 != size:
+        return "pairs do not form a perfect matching"
+    return None if is_noncrossing(pairs) else "two pairs cross"
+
+
 def consistent_pairings(word, d, m, cap=PAIRING_CAP):
     """Star pairings that only match positions carrying the same
     generator.  ``word`` must have the alternating-star block structure
@@ -309,9 +330,11 @@ def trace_moment_naive(p, m):
 
 def trace_moment_transfer(p, m):
     """The unpruned transfer map over reduced prefixes: every prefix is
-    carried to the last step.  Same term order and arithmetic as
-    ``trace_moment_exact`` (ints when every coefficient is integral,
-    floats otherwise), so float results must agree bit for bit."""
+    carried to the last step, and each next prefix is the public normal
+    form ``reduce_word(prefix + letters)``.  Same term order and
+    arithmetic as ``trace_moment_exact`` (ints when every coefficient is
+    integral, floats otherwise), so float results must agree bit for
+    bit."""
     terms = sorted(p.terms.items())
     integral = all(float(c).is_integer() for _, c in terms)
     terms = [(w, int(c) if integral else float(c)) for w, c in terms]
@@ -322,15 +345,9 @@ def trace_moment_transfer(p, m):
         nxt = {}
         for prefix, acc in states.items():
             for mono, coeff in terms:
-                letters = ([(g, True) for g in reversed(mono)] if starred
-                           else [(g, False) for g in mono])
-                stack = list(prefix)
-                for let in letters:
-                    if stack and stack[-1][0] == let[0] and stack[-1][1] != let[1]:
-                        stack.pop()
-                    else:
-                        stack.append(let)
-                key = tuple(stack)
+                letters = (tuple((g, True) for g in reversed(mono)) if starred
+                           else tuple((g, False) for g in mono))
+                key = reduce_word(prefix + letters)
                 nxt[key] = nxt.get(key, zero) + acc * coeff
         states = {k: v for k, v in nxt.items() if v != 0}
     return states.get((), zero)

@@ -53,3 +53,43 @@ def generator_polys(draw, max_gens=3, max_deg=2, max_terms=5, integers=True,
     else:
         cf = coeffs
     return NCPolynomial({w: draw(cf) for w in chosen})
+
+
+@st.composite
+def pairing_candidates(draw, max_d=3, max_m=2):
+    """(d, m, pairs) for the StarPairing validator: a bicolored perfect
+    matching of the 2dm positions (crossing or not), then at most one
+    defect: a dropped, repeated, reversed, same-colored, out-of-range or
+    float pair.  One case in eight is an arbitrary list of integer pairs
+    instead."""
+    d = draw(st.integers(1, max_d))
+    m = draw(st.integers(1, max_m))
+    size = 2 * d * m
+    if draw(st.integers(0, 7)) == 0:
+        pos = st.integers(-1, size)
+        return d, m, tuple(draw(st.lists(st.tuples(pos, pos), max_size=size // 2 + 1)))
+    red = [q for q in range(size) if (q // d) % 2 == 0]
+    blue = draw(st.permutations([q for q in range(size) if (q // d) % 2 == 1]))
+    pairs = sorted((min(a, b), max(a, b)) for a, b in zip(red, blue))
+    k = draw(st.integers(0, len(pairs) - 1))
+    a, b = pairs[k]
+    defect = draw(st.sampled_from(
+        ["none", "none", "drop", "repeat", "reverse", "same", "low", "high", "float",
+         "half"]))
+    if defect == "drop":
+        del pairs[k]
+    elif defect == "repeat":
+        pairs.append((a, b))
+    elif defect == "reverse":
+        pairs[k] = (b, a)
+    elif defect == "same" and len(red) > 1:
+        pairs[k] = (red[0], red[-1])
+    elif defect == "low":
+        pairs[k] = (-1, b)
+    elif defect == "high":
+        pairs[k] = (a, size)
+    elif defect == "float":
+        pairs[k] = (float(a), b)
+    elif defect == "half":
+        pairs[k] = (a, b - 0.5)
+    return d, m, tuple(pairs)

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -10,7 +10,7 @@ from cbforms import (NCPolynomial, StarPairing, enumerate_star_pairings, fuss_ca
                      moment_upper_bound, reduce_word, trace_moment_exact)
 from oracles import (consistent_pairings, make_word, moment_word, trace_inner_product,
                      word_trace)
-from strategies import generator_polys, small_words
+from strategies import generator_polys, pairing_candidates, small_words
 
 
 # -- word reduction ------------------------------------------------------------
@@ -147,6 +147,20 @@ def test_pairing_rejects_bad_structure():
         StarPairing(2, 1, ((0, 3),))              # incomplete
     with pytest.raises(ValueError):
         StarPairing(2, 1, ((0, 3), (1, 2), (0, 3)))  # repeated
+
+
+@given(pairing_candidates())
+@example((2, 1, ((0, 3), (0.5, 2))))      # a fractional position covers the count
+@example((2, 2, ((0, 2), (1, 3), (4, 6), (5, 7))))
+@example((1, 3, ((0, 3), (1, 2), (4, 5))))
+def test_pairing_validation_matches_naive_oracle(case):
+    # the linear validator rejects exactly what the all-pairs one rejects
+    d, m, pairs = case
+    if oracles.star_pairing_problem_naive(d, m, pairs) is None:
+        assert StarPairing(d, m, pairs).pairs == pairs
+    else:
+        with pytest.raises(ValueError):
+            StarPairing(d, m, pairs)
 
 
 def test_pairing_to_lists():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cbforms import (BlockMultilinearForm, NCPolynomial, Seed, WitnessReport,
                      address_form, evaluate_nc, form_to_ncpoly, general_form_witness,
-                     influence_floor, polar_witness, random_form,
+                     influence_floor, polar, polar_witness, random_form,
                      root_influence_witness, scalar_phase_address_witness,
                      scalar_phase_assignment, sign_baseline)
 from cbforms.matnum import operator_norm_svd
@@ -245,6 +245,29 @@ def test_polar_witness_value_is_the_form_at_its_assignment(f, left, dim, master)
         operator_norm_svd(evaluate_nc(p, assignment, dim=dim)), rel=1e-12)
     assert rep.achieved == pytest.approx(
         operator_norm_svd(evaluate_form(f, assignment, dim)), rel=1e-12)
+
+
+@settings(max_examples=20)
+@given(f=small_forms(homogeneous=True, with_constant=False), left=st.booleans(),
+       dim=st.integers(1, 8), master=st.integers(0, 2 ** 31 - 1))
+@example(f=_ZERO_Q0_FORM, left=True, dim=8, master=2)
+@example(f=_ZERO_Q0_FORM, left=False, dim=8, master=3)
+def test_homogeneous_polar_witness_outer_unitaries_are_polar_adjoints(f, left, dim, master):
+    # q_0 is zero, so each outer variable is the polar unitary of its
+    # block M_i, conjugate-transposed, bit for bit
+    side = "left" if left else "right"
+    b = 0 if left else f.d - 1
+    outer = [(b, i) for i in range(f.n)]
+    p = form_to_ncpoly(f)
+    _, assignment = polar_witness(p, outer, dim, Seed(master), side=side)
+    for y in outer:
+        rest = [(w[1:] if left else w[:-1], c) for w, c in p.terms.items()
+                if (w[0] if left else w[-1]) == y]
+        if not rest:
+            continue
+        q = NCPolynomial({w: c for w, c in rest if w}, sum(c for w, c in rest if not w))
+        m = evaluate_nc(q, assignment, dim=dim)
+        assert np.array_equal(assignment[y], polar(m, side=side).unitary.conj().T)
 
 
 def test_polar_witness_is_deterministic():
