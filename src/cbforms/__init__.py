@@ -5,8 +5,8 @@ query-circuit extraction, and greedy decision-tree simulation."""
 from .forms import BlockMultilinearForm, random_form
 from .freecomb import (StarPairing, enumerate_star_pairings, fuss_catalan, moment_upper_bound,
                        reduce_word, trace_moment_exact)
-from .matnum import (DEFAULT_DIM_SCHEDULE, PolarFactors, Seed, haar_orthogonal,
-                     haar_unitary, operator_norm_svd, polar, unitarity_residual)
+from .matnum import (DEFAULT_DIM_SCHEDULE, Seed, haar_orthogonal, haar_unitary,
+                     operator_norm_svd, polar, unitarity_residual)
 from .ncpoly import NCPolynomial, evaluate_nc, form_to_ncpoly
 from .quantum import (QuantumQueryCircuit, addr_index, address_form, extract_form,
                       forrelation_circuit, random_circuit)
@@ -22,7 +22,7 @@ __all__ = [
     "BlockMultilinearForm", "random_form",
     "StarPairing", "enumerate_star_pairings", "fuss_catalan", "moment_upper_bound",
     "reduce_word", "trace_moment_exact",
-    "DEFAULT_DIM_SCHEDULE", "PolarFactors", "Seed", "haar_orthogonal", "haar_unitary",
+    "DEFAULT_DIM_SCHEDULE", "Seed", "haar_orthogonal", "haar_unitary",
     "operator_norm_svd", "polar", "unitarity_residual",
     "NCPolynomial", "evaluate_nc", "form_to_ncpoly",
     "QuantumQueryCircuit", "addr_index", "address_form", "extract_form",

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import time
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -155,7 +156,7 @@ def cmd_gen(cfg: RunConfig) -> int:
     if cfg.kind == "address":
         obj = address_form(cfg.d)
     elif cfg.kind == "forrelation":
-        obj = forrelation_circuit(cfg.n, k=max(cfg.d, 2))
+        obj = forrelation_circuit(cfg.n, k=cfg.d)
     elif cfg.kind == "random-form":
         obj = random_form(cfg.d, cfg.n, cfg.terms, seed, homogeneous=cfg.homogeneous)
     elif cfg.kind == "random-circuit":
@@ -190,25 +191,27 @@ def cmd_witness(cfg: RunConfig) -> int:
     f = _load_form(cfg.input_path)
     seed = Seed(cfg.seed)
     schedule = cfg.schedule if cfg.dim is None else (cfg.dim,)
+    if cfg.method == "scalar-phase" and f != address_form(f.d - 1):
+        raise ValueError("scalar-phase witness applies to address forms; "
+                         "generate one with: gen address")
+    t0 = time.perf_counter()
     if cfg.method == "sign-baseline":
         report = sign_baseline(f, cfg.trials, seed)
     elif cfg.method == "scalar-phase":
-        d = f.d - 1
-        if f != address_form(d):
-            raise ValueError("scalar-phase witness applies to address forms; "
-                             "generate one with: gen address")
-        report = scalar_phase_address_witness(d)
+        report = scalar_phase_address_witness(f.d - 1)
     elif cfg.method == "polar-homogeneous":
         report = root_influence_witness(f, side="first", schedule=schedule, seed=seed)
     elif cfg.method == "polar-general":
         report = general_form_witness(f, schedule=schedule, seed=seed)
     else:
         raise ValueError(f"unknown witness method {cfg.method!r}")
+    wall_time_s = time.perf_counter() - t0
 
-    payload = report.to_dict(include_timing=True)
+    payload = report.to_dict()
     if cfg.out_path:
         # files must be byte-identical across reruns; timing stays out
-        _write_atomic(_resolve_out(cfg.out_path), _dump(report.to_dict(include_timing=False)))
+        _write_atomic(_resolve_out(cfg.out_path), _dump(payload))
+    payload["wall_time_s"] = wall_time_s
     row = {k: v for k, v in payload.items() if k != "seed"}
     row["seed"] = json.dumps(payload["seed"])
     _emit(cfg, payload, [row])

@@ -173,20 +173,9 @@ class BlockMultilinearForm:
         """Sum of squared non-constant coefficients (= E f^2 - (E f)^2)."""
         return float(sum(c * c for c in self._terms.values()))
 
-    def influence(self, b: int, i: int) -> float:
-        """Sum of squared coefficients of monomials containing x_b(i)."""
-        if not (0 <= b < self._d and 0 <= i < self._n):
-            raise ValueError(f"variable ({b}, {i}) out of range")
-        total = 0.0
-        for (blocks, indices), coeff in self._terms.items():
-            for bb, ii in zip(blocks, indices):
-                if bb == b and ii == i:
-                    total += coeff * coeff
-                    break
-        return total
-
     def influences(self) -> np.ndarray:
-        """Full influence table, shape (d, n)."""
+        """Influence table, shape (d, n): entry (b, i) is the sum of squared
+        coefficients of the monomials containing x_b(i)."""
         table = np.zeros((self._d, self._n))
         for (blocks, indices), coeff in self._terms.items():
             c2 = coeff * coeff
@@ -347,6 +336,9 @@ def random_form(d: int, n: int, num_terms: int, seed: Seed,
     coefficients away from zero keeps influence-based pipelines well
     conditioned.
     """
+    if d < 1 or n < 1 or num_terms < 0:
+        raise ValueError(f"random form needs d >= 1, n >= 1 and terms >= 0, "
+                         f"got d={d}, n={n}, terms={num_terms}")
     rng = seed.rng()
     keys: set[Key] = set()
     full = tuple(range(d))

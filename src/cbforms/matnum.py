@@ -1,4 +1,4 @@
-"""Matrix numerics: seeded Haar sampling, polar factors, the operator norm.
+"""Matrix numerics: seeded Haar sampling, the polar unitary, the operator norm.
 
 Conventions
 -----------
@@ -8,9 +8,9 @@ Conventions
 * Randomness is routed through :class:`Seed`, a master integer plus a
   derivation path.  The same (master, path) pair reproduces every draw
   bit for bit, across runs and platforms (PCG64 via ``SeedSequence``).
-* ``polar`` returns an exactly unitary factor and a Hermitian PSD factor
-  obtained from the singular value decomposition; rank-deficient inputs
-  get the canonical completion that the decomposition provides.
+* ``polar`` returns the unitary polar factor U V* of m = U s V*, the same
+  on either side (m = (U V*)(V s V*) = (U s U*)(U V*)); rank-deficient
+  inputs get the canonical completion that the decomposition provides.
 * ``operator_norm_svd`` is the one spectral norm; witness values are read
   from it.  ``unitarity_residual`` is the Frobenius norm of m m* - I, which
   bounds the spectral distance from above at a fraction of the cost.
@@ -87,52 +87,26 @@ def haar_orthogonal(n: int, seed) -> np.ndarray:
     return q
 
 
-@dataclass
-class PolarFactors:
-    """Unitary and Hermitian PSD factors of a square matrix.
+def polar(m: np.ndarray) -> np.ndarray:
+    """Unitary polar factor U V* of a square matrix m = U s V*.
 
-    side == "left":  m = unitary @ psd
-    side == "right": m = psd @ unitary
-    """
-
-    unitary: np.ndarray
-    psd: np.ndarray
-    side: str
-
-
-def polar(m: np.ndarray, side: str = "left") -> PolarFactors:
-    """Polar decomposition of a square matrix via the SVD.
-
-    With m = U s V*, the unitary factor is U V* for both sides; the PSD
-    factor is V s V* (left) or U s U* (right).  Residuals are checked and
-    a ValueError is raised if the factorization fails numerically.
+    The same unitary serves both sides: m = (U V*) P with P = V s V*, and
+    m = P' (U V*) with P' = U s U*.  A ValueError is raised when the
+    factor is not unitary or U s V* does not reconstruct m.
     """
     m = np.asarray(m)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("polar decomposition requires a square matrix")
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
     u, s, vh = np.linalg.svd(m)
     unitary = u @ vh
-    if side == "left":
-        psd = vh.conj().T @ (s[:, None] * vh)
-    else:
-        psd = u @ (s[:, None] * u.conj().T)
-
-    n = m.shape[0]
-    scale = max(np.linalg.norm(m), 1.0)
     resid_u = unitarity_residual(unitary)
-    if side == "left":
-        resid_m = np.linalg.norm(unitary @ psd - m)
-    else:
-        resid_m = np.linalg.norm(psd @ unitary - m)
-    resid_h = np.linalg.norm(psd - psd.conj().T)
-    if resid_u > 1e-10 * np.sqrt(n) or resid_m > 1e-10 * scale or resid_h > 1e-10 * scale:
+    resid_m = np.linalg.norm((u * s) @ vh - m)
+    if resid_u > 1e-10 * np.sqrt(m.shape[0]) or resid_m > 1e-10 * max(np.linalg.norm(m), 1.0):
         raise ValueError(
             "polar decomposition failed numerically: "
-            f"residuals unitary={resid_u:.2e} reconstruct={resid_m:.2e} hermitian={resid_h:.2e}"
+            f"residuals unitary={resid_u:.2e} reconstruct={resid_m:.2e}"
         )
-    return PolarFactors(unitary=unitary, psd=psd, side=side)
+    return unitary
 
 
 def operator_norm_svd(m: np.ndarray) -> float:

@@ -83,10 +83,6 @@ class QuantumQueryCircuit:
             state = self.unitaries[b] @ state
         return float(self.u @ state)
 
-    def acceptance_probability(self, x) -> float:
-        t = self.amplitude(x)
-        return t * t
-
     # -- serialization ---------------------------------------------------
 
     def to_dict(self) -> dict:

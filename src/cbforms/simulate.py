@@ -121,9 +121,6 @@ class ErrorProfile:
     def max_error(self) -> float:
         return float(np.max(self.errors))
 
-    def failing_fraction_at(self, epsilon: float) -> float:
-        return float(np.mean(self.errors > epsilon))
-
 
 def error_profile(f: BlockMultilinearForm, policy: SimulationPolicy,
                   cap: int = ERROR_PROFILE_CAP) -> ErrorProfile:

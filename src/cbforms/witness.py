@@ -24,8 +24,7 @@ value, so every number is replayable bit for bit.
 from __future__ import annotations
 
 import math
-import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +49,9 @@ class WitnessReport:
     achieved is the certified value (operator norm at the contractive
     assignment, or the empirical mean for the sign baseline); target is
     the theory floor the construction aims for.  selected_block is the
-    block the construction pulled out, when meaningful.
+    block the construction pulled out, when meaningful.  A report holds
+    only replayable numbers; callers that want a wall-clock time measure
+    the call themselves.
     """
 
     method: str
@@ -60,14 +61,13 @@ class WitnessReport:
     seed: Seed | None
     unitarity_residual: float
     selected_block: int | None = None
-    wall_time_s: float = 0.0
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
 
-    def to_dict(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "method": self.method,
             "achieved": self.achieved,
             "target": self.target,
@@ -77,9 +77,6 @@ class WitnessReport:
             # 1-based at the serialization boundary, like form blocks
             "selected_block": None if self.selected_block is None else self.selected_block + 1,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
 
 def influence_floor(f: BlockMultilinearForm) -> float:
@@ -114,12 +111,10 @@ def sign_baseline(f: BlockMultilinearForm, trials: int, seed: Seed) -> WitnessRe
         raise ValueError("sign baseline requires a homogeneous form")
     if trials < 1:
         raise ValueError("trials must be positive")
-    t0 = time.perf_counter()
     d, n = f.d, f.n
     if f.num_terms() == 0:
         return WitnessReport(method="sign-baseline", achieved=0.0, target=0.0, N=1,
-                             seed=seed, unitarity_residual=0.0, selected_block=None,
-                             wall_time_s=time.perf_counter() - t0)
+                             seed=seed, unitarity_residual=0.0, selected_block=None)
 
     # slices[b][i]: list of (other-block variables, coeff) for monomials
     # containing x_b(i)
@@ -152,8 +147,7 @@ def sign_baseline(f: BlockMultilinearForm, trials: int, seed: Seed) -> WitnessRe
     best = max(range(d), key=lambda b: (means[b], targets[b], -b))
     return WitnessReport(method="sign-baseline", achieved=float(means[best]),
                          target=float(targets[best]), N=1, seed=seed,
-                         unitarity_residual=0.0, selected_block=best,
-                         wall_time_s=time.perf_counter() - t0)
+                         unitarity_residual=0.0, selected_block=best)
 
 
 # -- scalar phase witness for the address form ---------------------------
@@ -167,13 +161,13 @@ def scalar_phase_address_witness(d: int) -> WitnessReport:
     phases, so all 2^d branches add up on the positive real axis to
     2^{d/2} exactly.
     """
-    t0 = time.perf_counter()
-    f = address_form(d)
-    value, residual = _scalar_phase_value(f, d)
-    return WitnessReport(method="scalar-phase", achieved=abs(value),
+    assign = scalar_phase_assignment(d)
+    value = evaluate_nc(form_to_ncpoly(address_form(d)),
+                        {var: np.array([[z]]) for var, z in assign.items()})
+    residual = max(abs(abs(z) ** 2 - 1.0) for z in assign.values())
+    return WitnessReport(method="scalar-phase", achieved=float(abs(value[0, 0])),
                          target=float(2.0 ** (d / 2.0)), N=1, seed=None,
-                         unitarity_residual=residual, selected_block=d,
-                         wall_time_s=time.perf_counter() - t0)
+                         unitarity_residual=residual, selected_block=d)
 
 
 def scalar_phase_assignment(d: int) -> dict[tuple[int, int], complex]:
@@ -192,18 +186,6 @@ def scalar_phase_assignment(d: int) -> dict[tuple[int, int], complex]:
             data = (data << 1) | bit
         assign[(d, data)] = branch.conjugate() / abs(branch)
     return assign
-
-
-def _scalar_phase_value(f: BlockMultilinearForm, d: int) -> tuple[complex, float]:
-    assign = scalar_phase_assignment(d)
-    total = complex(f.constant)
-    for (blocks, indices), coeff in f.terms.items():
-        prod = complex(coeff)
-        for var in zip(blocks, indices):
-            prod *= assign[var]
-        total += prod
-    residual = max(abs(abs(z) ** 2 - 1.0) for z in assign.values())
-    return total, residual
 
 
 # -- polar construction ---------------------------------------------------
@@ -252,7 +234,6 @@ def polar_witness(p: NCPolynomial, outer_vars, dim: int, seed: Seed,
         raise ValueError("side must be 'left' or 'right'")
     if dim < 1:
         raise ValueError("dimension must be positive")
-    t0 = time.perf_counter()
     qs, q0 = _split_outer(p, outer_vars, side)
 
     inner_vars = sorted({v for q in qs.values() for v in q.variables()} | set(q0.variables()))
@@ -264,7 +245,7 @@ def polar_witness(p: NCPolynomial, outer_vars, dim: int, seed: Seed,
         value = np.zeros((dim, dim), dtype=complex)
     else:
         value = evaluate_nc(q0, assignment, dim=dim)
-        u0 = polar(value, side=side).unitary
+        u0 = polar(value)
 
     norm_sum = 0.0
     for y in sorted(qs):
@@ -274,7 +255,7 @@ def polar_witness(p: NCPolynomial, outer_vars, dim: int, seed: Seed,
             assignment[y] = np.eye(dim, dtype=complex)
             continue
         m = evaluate_nc(q, assignment, dim=dim)
-        u_adj = polar(m, side=side).unitary.conj().T
+        u_adj = polar(m).conj().T
         if side == "left":
             assignment[y] = u_adj if u0 is None else u0 @ u_adj
             value += assignment[y] @ m
@@ -294,9 +275,20 @@ def polar_witness(p: NCPolynomial, outer_vars, dim: int, seed: Seed,
     residual = max((unitarity_residual(mat) for mat in assignment.values()), default=0.0)
     method = "polar-homogeneous" if p.is_homogeneous() else "polar-general"
     report = WitnessReport(method=method, achieved=achieved, target=target, N=dim,
-                           seed=seed, unitarity_residual=residual,
-                           wall_time_s=time.perf_counter() - t0)
+                           seed=seed, unitarity_residual=residual)
     return report, assignment
+
+
+def _best_over_schedule(p: NCPolynomial, outer, schedule, seed: Seed,
+                        side: str) -> WitnessReport:
+    """Run the polar witness at every dimension in the schedule, seeded
+    by ``seed.child(dim)``; the first run with the largest value wins."""
+    best = None
+    for dim in schedule:
+        rep, _ = polar_witness(p, outer, dim, seed.child(dim), side=side)
+        if best is None or rep.achieved > best.achieved:
+            best = rep
+    return best
 
 
 def root_influence_witness(f: BlockMultilinearForm, side: str = "first",
@@ -313,7 +305,6 @@ def root_influence_witness(f: BlockMultilinearForm, side: str = "first",
     if not f.is_homogeneous():
         raise ValueError("root-influence witness requires a homogeneous form")
     schedule = _check_schedule(schedule)
-    t0 = time.perf_counter()
     d = f.d
     b = 0 if side == "first" else d - 1
     inf = f.influences()[b]
@@ -321,20 +312,13 @@ def root_influence_witness(f: BlockMultilinearForm, side: str = "first",
     if f.num_terms() == 0:
         return WitnessReport(method="polar-homogeneous", achieved=0.0, target=0.0,
                              N=schedule[0], seed=seed, unitarity_residual=0.0,
-                             selected_block=b, wall_time_s=time.perf_counter() - t0)
+                             selected_block=b)
 
     p = form_to_ncpoly(f)
     outer = [(b, i) for i in range(f.n) if inf[i] > 0.0]
-    polar_side = "left" if side == "first" else "right"
-    best = None
-    for dim in schedule:
-        rep, _ = polar_witness(p, outer, dim, seed.child(dim), side=polar_side)
-        if best is None or rep.achieved > best.achieved:
-            best = rep
-    return WitnessReport(method="polar-homogeneous", achieved=best.achieved,
-                         target=target, N=best.N, seed=best.seed,
-                         unitarity_residual=best.unitarity_residual,
-                         selected_block=b, wall_time_s=time.perf_counter() - t0)
+    best = _best_over_schedule(p, outer, schedule, seed,
+                               "left" if side == "first" else "right")
+    return replace(best, method="polar-homogeneous", target=target, selected_block=b)
 
 
 def general_form_witness(f: BlockMultilinearForm, schedule=DEFAULT_DIM_SCHEDULE,
@@ -347,14 +331,12 @@ def general_form_witness(f: BlockMultilinearForm, schedule=DEFAULT_DIM_SCHEDULE,
     Var[f] / (sqrt(e) (d+1)^2 MaxInf(f)^{1/2}).
     """
     schedule = _check_schedule(schedule)
-    t0 = time.perf_counter()
     d = f.d
     var = f.variance()
     if var == 0.0:
         return WitnessReport(method="polar-general", achieved=abs(f.constant),
                              target=0.0, N=schedule[0], seed=seed,
-                             unitarity_residual=0.0, selected_block=None,
-                             wall_time_s=time.perf_counter() - t0)
+                             unitarity_residual=0.0, selected_block=None)
     parts = f.leading_block_decomposition()
     variances = [part.variance() for part in parts]
     beta = max(range(d), key=lambda b: (variances[b], -b))
@@ -368,13 +350,6 @@ def general_form_witness(f: BlockMultilinearForm, schedule=DEFAULT_DIM_SCHEDULE,
     p = NCPolynomial({tuple(zip(bl, ix)): c for (bl, ix), c in terms.items()},
                      constant=f.constant)
     outer = sorted({(beta, ix[0]) for (bl, ix) in terms if bl[0] == beta})
-
-    best = None
-    for dim in schedule:
-        rep, _ = polar_witness(p, outer, dim, seed.child(dim), side="left")
-        if best is None or rep.achieved > best.achieved:
-            best = rep
-    return WitnessReport(method="polar-general", achieved=best.achieved,
-                         target=target, N=best.N, seed=best.seed,
-                         unitarity_residual=best.unitarity_residual,
-                         selected_block=beta, wall_time_s=time.perf_counter() - t0)
+    best = _best_over_schedule(p, outer, schedule, seed, "left")
+    # a homogeneous input still reports the general construction
+    return replace(best, method="polar-general", target=target, selected_block=beta)

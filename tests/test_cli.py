@@ -5,8 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from cbforms import (BlockMultilinearForm, QuantumQueryCircuit, SimulationPolicy, address_form,
-                     error_profile, extract_form, forrelation_circuit)
+from cbforms import (BlockMultilinearForm, QuantumQueryCircuit, Seed, SimulationPolicy,
+                     address_form, error_profile, extract_form, forrelation_circuit,
+                     random_circuit)
 from cbforms.cli import main
 
 
@@ -91,8 +92,9 @@ def test_gen_random_circuit_round_trips(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["n"] == 2 and payload["s"] == 2 and payload["d"] == 2
     c = QuantumQueryCircuit.from_json(path.read_text())
+    # the file holds the circuit the seeded generator builds
     assert c.amplitude(np.ones((2, 2))) == pytest.approx(
-        c.acceptance_probability(np.ones((2, 2))) ** 0.5, abs=1e-12)
+        random_circuit(2, 2, 2, Seed(5)).amplitude(np.ones((2, 2))), abs=1e-12)
 
 
 def test_gen_forrelation_circuit(capsys, tmp_path):
@@ -103,6 +105,24 @@ def test_gen_forrelation_circuit(capsys, tmp_path):
     c = QuantumQueryCircuit.from_json(path.read_text())
     assert c.n == 4 and c.d == 2
     assert c.amplitude(np.ones((2, 4))) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("flag, value", [("--terms", "-3"), ("--d", "0"), ("--n", "0")])
+def test_gen_random_form_rejects_bad_sizes(capsys, tmp_path, flag, value):
+    path = tmp_path / "f.json"
+    rc, out, err = run(capsys, "gen", "random-form", flag, value, "--out", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: random form needs") and err.count("\n") == 1
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("k", ["1", "0", "-5"])
+def test_gen_forrelation_rejects_fewer_than_two_queries(capsys, tmp_path, k):
+    path = tmp_path / "forr.json"
+    rc, _, err = run(capsys, "gen", "forrelation", "--d", k, "--out", str(path))
+    assert rc == 1
+    assert err == "error: k must be at least 2\n"
+    assert not path.exists()
 
 
 def test_outdir_env_resolves_relative_paths(capsys, tmp_path, monkeypatch):

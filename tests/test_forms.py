@@ -109,22 +109,20 @@ def test_second_moment_equals_constant_sq_plus_variance(f):
 
 @given(small_forms(max_d=3, max_n=2))
 def test_influence_matches_derivative_energy(f):
+    table = f.influences()
     for b in range(f.d):
         for i in range(f.n):
-            assert f.influence(b, i) == pytest.approx(
+            assert table[b, i] == pytest.approx(
                 oracles.influence_bruteforce(f, b, i), rel=1e-9, abs=1e-9)
 
 
 def test_influence_explicit_shared_variable():
     f = BlockMultilinearForm(2, 2, 0.0,
                              {((0, 1), (0, 0)): 1.0, ((0, 1), (0, 1)): 1.0})
-    assert f.influence(0, 0) == 2.0
-    assert f.influence(0, 1) == 0.0
-    assert f.influence(1, 0) == 1.0
-    with pytest.raises(ValueError):
-        f.influence(2, 0)
-    with pytest.raises(ValueError):
-        f.influence(0, 5)
+    table = f.influences()
+    assert table[0, 0] == 2.0
+    assert table[0, 1] == 0.0
+    assert table[1, 0] == 1.0
 
 
 @given(small_forms())
@@ -132,9 +130,8 @@ def test_influence_table_consistency(f):
     table = f.influences()
     assert table.shape == (f.d, f.n)
     for b in range(f.d):
-        for i in range(f.n):
-            assert table[b, i] == pytest.approx(f.influence(b, i), abs=1e-15)
-        block_sum = sum(f.influence(b, i) for i in range(f.n))
+        # each monomial touches block b at most once
+        block_sum = sum(c * c for (blocks, _), c in f.terms.items() if b in blocks)
         assert float(table[b].sum()) == pytest.approx(block_sum, rel=1e-12, abs=1e-15)
 
 

@@ -1,4 +1,4 @@
-"""Seeded Haar sampling, polar factors, operator norms."""
+"""Seeded Haar sampling, the polar unitary, operator norms."""
 
 import numpy as np
 import pytest
@@ -134,47 +134,47 @@ def test_haar_left_translation_invariance():
 # -- polar decomposition -------------------------------------------------------
 
 
-@given(st.integers(1, 6), st.integers(0, 10 ** 6), st.booleans(), st.booleans())
-def test_polar_factors_reconstruct(n, master, cplx, left):
+def _is_hermitian_psd(h, tol=1e-10):
+    return (np.allclose(h, h.conj().T, atol=tol)
+            and np.linalg.eigvalsh((h + h.conj().T) / 2).min() > -tol)
+
+
+@given(st.integers(1, 6), st.integers(0, 10 ** 6), st.booleans())
+def test_polar_unitary_leaves_a_psd_factor_on_either_side(n, master, cplx):
+    # u is the polar factor of m exactly when u is unitary and u* m (left,
+    # m = u P) and m u* (right, m = P u) are Hermitian PSD
     rng = Seed(master).rng()
     m = rng.standard_normal((n, n))
     if cplx:
         m = m + 1j * rng.standard_normal((n, n))
-    side = "left" if left else "right"
-    pf = polar(m, side=side)
-    assert pf.side == side
-    recon = pf.unitary @ pf.psd if side == "left" else pf.psd @ pf.unitary
-    assert np.allclose(recon, m, atol=1e-10)
-    assert unitarity_residual(pf.unitary) < 1e-10
-    assert np.allclose(pf.psd, pf.psd.conj().T, atol=1e-10)
-    assert np.linalg.eigvalsh(pf.psd).min() > -1e-10
+    u = polar(m)
+    assert unitarity_residual(u) < 1e-10
+    assert _is_hermitian_psd(u.conj().T @ m)
+    assert _is_hermitian_psd(m @ u.conj().T)
 
 
 def test_polar_of_unitary_is_the_unitary_itself():
     u = haar_unitary(8, Seed(9))
-    pf = polar(u)
-    assert np.allclose(pf.unitary, u, atol=1e-12)
-    assert np.allclose(pf.psd, np.eye(8), atol=1e-12)
+    assert np.allclose(polar(u), u, atol=1e-12)
 
 
 def test_polar_of_rank_deficient_diagonal():
-    pf = polar(np.diag([2.0, 0.0]))
-    assert np.allclose(pf.unitary, np.eye(2), atol=1e-12)
-    assert np.allclose(pf.psd, np.diag([2.0, 0.0]), atol=1e-12)
+    u = polar(np.diag([2.0, 0.0]))
+    assert np.allclose(u, np.eye(2), atol=1e-12)
+    assert np.allclose(u.conj().T @ np.diag([2.0, 0.0]), np.diag([2.0, 0.0]), atol=1e-12)
 
 
-def test_polar_psd_ignores_left_unitary_factor():
+def test_polar_commutes_with_a_left_unitary_factor():
+    # m = u P gives v m = (v u) P, so the PSD factor is shared
     rng = Seed(13).rng()
     m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
     v = haar_unitary(6, Seed(14))
-    assert np.allclose(polar(v @ m).psd, polar(m).psd, atol=1e-9)
+    assert np.allclose(polar(v @ m), v @ polar(m), atol=1e-9)
 
 
 def test_polar_validates_inputs():
     with pytest.raises(ValueError):
         polar(np.ones((2, 3)))
-    with pytest.raises(ValueError):
-        polar(np.eye(2), side="sideways")
 
 
 # -- operator norm ---------------------------------------------------------------

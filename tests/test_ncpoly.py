@@ -163,5 +163,5 @@ def test_split_outer_slices_carry_influence():
     slices, rest = _split_outer(p, outer, "left")
     for i in (0, 1):
         assert slices[(0, i)].l2_norm() ** 2 == pytest.approx(
-            f.influence(0, i), abs=1e-12)
+            f.influences()[0, i], abs=1e-12)
     assert rest.is_zero()
