@@ -22,6 +22,12 @@ Conventions
   force).
 * Forms are immutable once constructed; every operation returns a new
   object.
+* The public constructor validates every key.  ``restrict`` and
+  ``leading_block_decomposition`` only reuse or shorten keys of a form
+  that was already valid, so they build their results through a private
+  constructor that skips that check.  A restricted form has the same
+  terms, in the same order and with the same bits, as a rebuild of the
+  result through the validating constructor.
 """
 
 from __future__ import annotations
@@ -100,6 +106,20 @@ class BlockMultilinearForm:
             canon[key] = c
         self._terms = canon
 
+    @classmethod
+    def _trusted(cls, d: int, n: int, constant: float,
+                 terms: dict[Key, float]) -> "BlockMultilinearForm":
+        """A form over ``terms`` as given, without validation.  Only for
+        keys taken from a valid form of the same shape, with float
+        coefficients that are never exactly zero; the dict is kept, not
+        copied."""
+        form = object.__new__(cls)
+        form._d = d
+        form._n = n
+        form._constant = constant
+        form._terms = terms
+        return form
+
     @property
     def d(self) -> int:
         return self._d
@@ -176,12 +196,13 @@ class BlockMultilinearForm:
     def influences(self) -> np.ndarray:
         """Influence table, shape (d, n): entry (b, i) is the sum of squared
         coefficients of the monomials containing x_b(i)."""
-        table = np.zeros((self._d, self._n))
+        n = self._n
+        flat = [0.0] * (self._d * n)
         for (blocks, indices), coeff in self._terms.items():
             c2 = coeff * coeff
             for b, i in zip(blocks, indices):
-                table[b, i] += c2
-        return table
+                flat[b * n + i] += c2
+        return np.array(flat).reshape(self._d, n)
 
     def max_influence(self) -> tuple[int, int, float]:
         """(block, index, value) of the largest influence.
@@ -202,6 +223,14 @@ class BlockMultilinearForm:
         Monomials whose variables are all fixed fold into the constant;
         coefficients that collide on one reduced monomial are summed, and
         exact zeros are dropped.
+
+        One pass over the terms: a monomial that touches no fixed
+        variable keeps its key as is, and only a touched one builds a
+        reduced key.  Every key comes from this already valid form, so
+        the result skips key validation.  Insertion order, summation
+        order and the zero drop are those of a plain rebuild through the
+        validating constructor, so the terms, their order and every bit
+        are the same.
         """
         fixed: dict[tuple[int, int], float] = {}
         for (b, i), v in assignments.items():
@@ -211,26 +240,29 @@ class BlockMultilinearForm:
             if v not in (1.0, -1.0):
                 raise ValueError(f"restriction values must be +-1, got {v}")
             fixed[(int(b), int(i))] = v
+        untouched = fixed.keys().isdisjoint
         constant = self._constant
         acc: dict[Key, float] = {}
-        for (blocks, indices), coeff in self._terms.items():
-            c = coeff
-            rest_b: list[int] = []
-            rest_i: list[int] = []
-            for b, i in zip(blocks, indices):
-                v = fixed.get((b, i))
-                if v is None:
-                    rest_b.append(b)
-                    rest_i.append(i)
-                else:
-                    c *= v
-            if rest_b:
+        for key, c in self._terms.items():
+            blocks, indices = key
+            if not untouched(zip(blocks, indices)):
+                rest_b: list[int] = []
+                rest_i: list[int] = []
+                for b, i in zip(blocks, indices):
+                    v = fixed.get((b, i))
+                    if v is None:
+                        rest_b.append(b)
+                        rest_i.append(i)
+                    else:
+                        c *= v
+                if not rest_b:
+                    constant += c
+                    continue
                 key = (tuple(rest_b), tuple(rest_i))
-                acc[key] = acc.get(key, 0.0) + c
-            else:
-                constant += c
-        acc = {k: v for k, v in acc.items() if v != 0.0}
-        return BlockMultilinearForm(self._d, self._n, constant, acc)
+            acc[key] = acc.get(key, 0.0) + c
+        if 0.0 in acc.values():  # only a collision can cancel to zero
+            acc = {k: v for k, v in acc.items() if v != 0.0}
+        return BlockMultilinearForm._trusted(self._d, self._n, constant, acc)
 
     # -- norms ------------------------------------------------------------
 
@@ -282,7 +314,7 @@ class BlockMultilinearForm:
         parts: list[dict[Key, float]] = [dict() for _ in range(self._d)]
         for key, c in self._terms.items():
             parts[key[0][0]][key] = c
-        return [BlockMultilinearForm(self._d, self._n, 0.0, p) for p in parts]
+        return [BlockMultilinearForm._trusted(self._d, self._n, 0.0, p) for p in parts]
 
     # -- JSON interchange (1-based at the boundary) -------------------------
 
@@ -334,11 +366,15 @@ def random_form(d: int, n: int, num_terms: int, seed: Seed,
     Homogeneous forms draw ``num_terms`` distinct index tuples over the
     full block set; general forms also draw the block subsets.  Keeping
     coefficients away from zero keeps influence-based pipelines well
-    conditioned.
+    conditioned.  A request for more monomials than the shape has (n^d
+    homogeneous, (n+1)^d - 1 general) is refused before any draw.
     """
     if d < 1 or n < 1 or num_terms < 0:
         raise ValueError(f"random form needs d >= 1, n >= 1 and terms >= 0, "
                          f"got d={d}, n={n}, terms={num_terms}")
+    available = n ** d if homogeneous else (n + 1) ** d - 1
+    if num_terms > available:
+        raise ValueError(f"cannot place {num_terms} distinct monomials for d={d}, n={n}")
     rng = seed.rng()
     keys: set[Key] = set()
     full = tuple(range(d))

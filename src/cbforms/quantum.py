@@ -221,7 +221,10 @@ def forrelation_circuit(n: int, k: int = 2) -> QuantumQueryCircuit:
 
 
 def random_circuit(n: int, s: int, d: int, seed: Seed) -> QuantumQueryCircuit:
-    """Haar-orthogonal unitaries and Gaussian-normalized u, v."""
+    """Haar-orthogonal unitaries and Gaussian-normalized u, v.  The sizes
+    are checked before anything is drawn."""
+    if n < 1 or s < 1 or d < 1:
+        raise ValueError(f"random circuit needs n, s, d >= 1, got n={n}, s={s}, d={d}")
     dim = n * s
     rng = seed.rng()
     u = rng.standard_normal(dim)

@@ -64,6 +64,43 @@ def influence_bruteforce(f, b, i):
     return total / count
 
 
+def restrict_rebuilt(f, assignments):
+    """Restriction by the plain route: every monomial rebuilds its key
+    from the variables left free, coefficients that land on one key are
+    summed in term order, exact zeros are dropped, and the result goes
+    through the validating constructor."""
+    fixed = {(int(b), int(i)): float(v) for (b, i), v in assignments.items()}
+    constant = f.constant
+    acc = {}
+    for (blocks, indices), coeff in f.terms.items():
+        c = coeff
+        rest_b, rest_i = [], []
+        for b, i in zip(blocks, indices):
+            v = fixed.get((b, i))
+            if v is None:
+                rest_b.append(b)
+                rest_i.append(i)
+            else:
+                c *= v
+        if rest_b:
+            key = (tuple(rest_b), tuple(rest_i))
+            acc[key] = acc.get(key, 0.0) + c
+        else:
+            constant += c
+    acc = {k: v for k, v in acc.items() if v != 0.0}
+    return BlockMultilinearForm(f.d, f.n, constant, acc)
+
+
+def influences_itemwise(f):
+    """Influence table by item-adds into a (d, n) array, in term order."""
+    table = np.zeros((f.d, f.n))
+    for (blocks, indices), coeff in f.terms.items():
+        c2 = coeff * coeff
+        for b, i in zip(blocks, indices):
+            table[b, i] += c2
+    return table
+
+
 def error_profile_pointwise(f, policy):
     """Greedy-tree errors and query counts by one simulator walk per cube
     point, in ``error_profile``'s point order: bit j of point p sets

@@ -116,6 +116,15 @@ def test_gen_random_form_rejects_bad_sizes(capsys, tmp_path, flag, value):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--s", "0"), ("--n", "0"), ("--n", "-1")])
+def test_gen_random_circuit_rejects_bad_sizes(capsys, tmp_path, flag, value):
+    path = tmp_path / "c.json"
+    rc, out, err = run(capsys, "gen", "random-circuit", flag, value, "--out", str(path))
+    assert rc == 1 and out == ""
+    assert err.startswith("error: random circuit needs n, s, d >= 1") and err.count("\n") == 1
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("k", ["1", "0", "-5"])
 def test_gen_forrelation_rejects_fewer_than_two_queries(capsys, tmp_path, k):
     path = tmp_path / "forr.json"

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from cbforms import BlockMultilinearForm, Seed, random_form
-from strategies import small_forms
+from cbforms import BlockMultilinearForm, Seed, forms, random_form
+from strategies import coeffs, small_forms
 
 
 def sign_point(d, n, point):
@@ -203,6 +203,73 @@ def test_restrict_validates_inputs():
         f.restrict({(5, 0): 1})
 
 
+@st.composite
+def restriction_cases(draw):
+    """A small form and a nonempty assignment.  When the form has two
+    blocks or more, it also holds a pair of monomials that land on one
+    key (or both on the constant) under the assignment, and one draw in
+    three gives the pair coefficients that cancel exactly."""
+    f = draw(small_forms(max_terms=8))
+    all_vars = [(b, i) for b in range(f.d) for i in range(f.n)]
+    chosen = draw(st.lists(st.sampled_from(all_vars), unique=True, min_size=1, max_size=4))
+    assignment = {v: draw(st.sampled_from([1, -1])) for v in chosen}
+    terms = f.terms
+    (b, i) = chosen[0]
+    if f.d >= 2:
+        b2 = draw(st.sampled_from([c for c in range(f.d) if c != b]))
+        i2 = draw(st.integers(0, f.n - 1))
+        (lo, ilo), (hi, ihi) = sorted([(b, i), (b2, i2)])
+        c_long = draw(coeffs)
+        cancel = draw(st.integers(0, 2)) == 0
+        terms[((lo, hi), (ilo, ihi))] = c_long
+        terms[((b2,), (i2,))] = -c_long * assignment[(b, i)] if cancel else draw(coeffs)
+    return BlockMultilinearForm(f.d, f.n, f.constant, terms), assignment
+
+
+def _bits(g):
+    return g.constant.hex(), [(key, c.hex()) for key, c in g.terms.items()]
+
+
+@given(restriction_cases())
+def test_restrict_matches_the_rebuilt_restriction_bit_for_bit(case):
+    f, assignment = case
+    g = f.restrict(assignment)
+    want = oracles.restrict_rebuilt(f, assignment)
+    assert list(g.terms.items()) == list(want.terms.items())
+    assert _bits(g) == _bits(want)
+    assert g == BlockMultilinearForm(g.d, g.n, g.constant, g.terms)
+    for h in (f, g):
+        assert h.influences().tobytes() == oracles.influences_itemwise(h).tobytes()
+
+
+def test_restrict_cancels_and_sums_collisions_in_term_order():
+    f = BlockMultilinearForm(2, 2, 0.125, {((0, 1), (0, 0)): 0.5, ((1,), (0,)): 0.25,
+                                           ((0, 1), (1, 0)): -0.75, ((1,), (1,)): 1.0,
+                                           ((0, 1), (0, 1)): 1.0})
+    g = f.restrict({(0, 0): -1, (0, 1): 1})
+    want = oracles.restrict_rebuilt(f, {(0, 0): -1, (0, 1): 1})
+    # (1,)(0,) collects -0.5 + 0.25 - 0.75; (1,)(1,) cancels to an exact zero
+    assert list(g.terms.items()) == [(((1,), (0,)), -1.0)]
+    assert _bits(g) == _bits(want)
+
+
+def test_restrict_and_max_influence_skip_key_validation(monkeypatch):
+    f = random_form(3, 4, 30, Seed(3), homogeneous=False)
+
+    def refuse(*args):
+        raise AssertionError("key validated")
+
+    monkeypatch.setattr(forms, "_validate_key", refuse)
+    g = f
+    for _ in range(4):
+        b, i, _ = g.max_influence()
+        g = g.restrict({(b, i): -1.0})
+    assert g.num_terms() < f.num_terms()
+    assert len(f.leading_block_decomposition()) == 3
+    with pytest.raises(AssertionError, match="key validated"):
+        BlockMultilinearForm(1, 1, 0.0, {((0,), (0,)): 1.0})
+
+
 @given(small_forms(), st.data())
 def test_restriction_variance_identity(f, data):
     b = data.draw(st.integers(0, f.d - 1))
@@ -381,3 +448,17 @@ def test_random_form_general_mode_and_infeasible_request():
     assert g.degree() <= 3
     with pytest.raises(ValueError):
         random_form(1, 1, 2, Seed(0))
+
+
+class NoDraws:
+    def rng(self):
+        raise AssertionError("drew from the rng")
+
+
+@pytest.mark.parametrize("d, n, homogeneous, cap", [(1, 2, True, 2), (3, 2, True, 8),
+                                                     (1, 2, False, 2), (2, 2, False, 8)])
+def test_random_form_refuses_more_terms_than_monomials_before_drawing(d, n, homogeneous, cap):
+    full = random_form(d, n, cap, Seed(1), homogeneous=homogeneous)
+    assert full.num_terms() == cap
+    with pytest.raises(ValueError, match=f"cannot place {cap + 1} distinct monomials"):
+        random_form(d, n, cap + 1, NoDraws(), homogeneous=homogeneous)

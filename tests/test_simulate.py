@@ -1,13 +1,15 @@
 """Greedy influence-query simulator and exact error profiles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbforms import (BlockMultilinearForm, SimulationPolicy, error_profile,
-                     extract_form, forrelation_circuit, reference_query_bound,
-                     simulate_on_input)
+from cbforms import (BlockMultilinearForm, Seed, SimulationPolicy, error_profile,
+                     extract_form, forrelation_circuit, random_circuit,
+                     reference_query_bound, simulate_on_input)
 
 from oracles import error_profile_pointwise
 from strategies import small_forms
@@ -189,6 +191,66 @@ def test_tree_profile_matches_pointwise_walks(f, budget, epsilon):
 def test_tree_profile_matches_pointwise_walks_on_forrelation(budget):
     f = extract_form(forrelation_circuit(4))
     assert_profile_matches_pointwise(f, SimulationPolicy(0.25, 0.25, budget))
+
+
+# -- pinned bits ---------------------------------------------------------------------
+# Values recorded before restriction skipped key validation; any change in
+# term order or in one bit of a restricted form shows up here.
+
+ONLINE_PINS = [
+    (0, 0, "-0x1.b8544e32e8a62p-4",
+     "ef20096041457987611ac48048b010c325e8fec42c04b05d11580fa1cd5d45d6",
+     [(2, 0, 1), (0, 7, -1), (0, 2, -1), (1, 5, -1), (2, 7, 1), (0, 0, 1), (0, 1, 1),
+      (1, 1, 1), (1, 4, -1), (1, 2, 1), (2, 5, -1), (1, 7, -1)]),
+    (0, 1, "0x1.b8ddce871fd0ep-2",
+     "1132c09ad460ed628085f50d308ab7f2c99464163020010a4c73dc8e68f85eac",
+     [(2, 0, 1), (0, 7, -1), (0, 2, 1), (1, 3, -1), (2, 5, -1), (1, 7, -1), (1, 1, -1),
+      (0, 0, -1), (0, 1, -1), (1, 4, 1), (1, 5, -1)]),
+    (1, 0, "-0x1.1f0e2d6213418p-1",
+     "d09377be8964b797c90fa9095e9620191100526505de09f4f0cdae0b888af713",
+     [(2, 5, 1), (0, 4, -1), (1, 7, -1), (2, 7, -1), (0, 0, -1), (1, 5, 1), (0, 3, -1),
+      (0, 5, 1), (1, 1, -1), (1, 3, -1), (2, 1, 1)]),
+    (1, 1, "0x1.49bec5c327332p-2",
+     "49cef04f802d024bda1f931c96dd9670021df3f445aa0d234b06ee5803b6394b",
+     [(2, 5, -1), (0, 4, -1), (1, 7, -1), (2, 7, -1), (1, 4, -1), (0, 5, 1), (1, 2, 1),
+      (0, 0, -1), (0, 3, -1), (0, 1, 1), (1, 3, -1), (2, 2, 1), (1, 1, 1)]),
+]
+
+
+def test_online_walks_are_pinned():
+    # 512-term forms of 3-query circuits on 8 bits, as in the online benchmark;
+    # the leaf digest covers the restricted form's term order and bits
+    pol = SimulationPolicy(0.25, 0.25, 32)
+    forms = [extract_form(random_circuit(8, 1, 3, Seed(19, (0, j)))) for j in range(2)]
+    rngs = [Seed(19, (1, j)).rng() for j in range(2)]
+    for j, t, output, leaf_sha, queries in ONLINE_PINS:
+        x = 1.0 - 2.0 * rngs[j].integers(0, 2, size=(3, 8))
+        tr = simulate_on_input(forms[j], pol, x)
+        assert tr.stop_reason == "variance"
+        assert tr.output.hex() == output
+        assert [(b, i, int(o)) for b, i, o in tr.queries] == queries
+        g = forms[j]
+        for b, i, o in tr.queries:
+            g = g.restrict({(b, i): o})
+        leaf = repr((g.constant.hex(), [(key, c.hex()) for key, c in g.terms.items()]))
+        assert hashlib.sha256(leaf.encode()).hexdigest() == leaf_sha
+
+
+@pytest.mark.parametrize("circuit, errors_sha, queries_sha", [
+    (forrelation_circuit(4),
+     "e5a00aa9991ac8a5ee3109844d84a55583bd20572ad3ffcd42792f3c36b183ad",
+     "2d38e375bccba42a88eb41adae5ee2d3055e2832c456a62f42f66eddb0380998"),
+    (random_circuit(4, 1, 2, Seed(19, (2, 0))),
+     "fec60fb79c57e99389458f9df70fce149bb23de8f2af455d86b8c55cf28a0db4",
+     "92a5744e1cf8b2f103e25c65922f2a523c3764937c8775d5462980e9c0618fe2"),
+    (random_circuit(4, 1, 2, Seed(19, (2, 1))),
+     "465739318bb5d00aea0fb9e38536672432334ee62050cd3d56ed1e0d7d8d2c73",
+     "3f44ffcab250d66ec520f7e58fabb618cfd29b0dded78656b42b0d87ac26495a"),
+])
+def test_error_profiles_are_pinned(circuit, errors_sha, queries_sha):
+    prof = error_profile(extract_form(circuit), SimulationPolicy(0.25, 0.25, 16))
+    assert hashlib.sha256(prof.errors.astype("<f8").tobytes()).hexdigest() == errors_sha
+    assert hashlib.sha256(prof.queries.astype("<i8").tobytes()).hexdigest() == queries_sha
 
 
 def test_error_profile_cap():
