@@ -28,12 +28,21 @@ Conventions
   constructor that skips that check.  A restricted form has the same
   terms, in the same order and with the same bits, as a rebuild of the
   result through the validating constructor.
+* A greedy walk restricts one variable per step and reads nothing but
+  the variance, the top influence and the final constant.  It runs on a
+  private array view of the terms (``_TermArrays``): a (T, d) int64
+  index array with -1 for an absent block, rows in term order, and a
+  float64 coefficient vector.  Only this module knows that layout.  Its
+  three step operations do the floating-point operations of
+  ``variance``, ``max_influence`` and ``restrict`` in the same order, so
+  a walk on the view gives the same bits as a walk on forms.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Mapping
 
 import numpy as np
@@ -357,6 +366,91 @@ class BlockMultilinearForm:
     @classmethod
     def from_json(cls, text: str) -> "BlockMultilinearForm":
         return cls.from_dict(json.loads(text))
+
+
+class _TermArrays:
+    """The terms of a form as a (T, d) int64 index array (-1 for an
+    absent block, rows in term order) and a float64 coefficient vector,
+    restricted in place one variable at a time.
+
+    Each operation repeats the floating-point operations of the form
+    method it stands for, in the same order:
+
+    * ``variance`` sums the squares left to right, as the builtin ``sum``
+      in ``BlockMultilinearForm.variance`` does up to Python 3.11;
+      ``np.sum`` would sum pairwise.
+    * ``argmax_influence`` adds each square into its (block, index) cell
+      with ``np.bincount``, one weight at a time from 0.0, in row-major
+      order (term order, blocks ascending), as ``influences`` adds into
+      its flat list.  ``argmax`` takes the first maximum, as
+      ``max_influence`` does.
+    * ``restrict`` negates the touched coefficients when the observed
+      sign is -1 and clears block b of the touched rows.  Rows with no
+      variable left fold into the constant in term order.  A reduced row
+      can only meet a row that already lacked block b, and two touched
+      rows still differ outside block b, so every collision joins exactly
+      two rows.  Their sum c_lo + c_hi equals the dict's
+      (0.0 + first) + second, because addition commutes; it stays at the
+      earlier row, and an exact zero is dropped.  The rows therefore keep
+      the first-occurrence order of the dict that ``restrict`` builds.
+    """
+
+    __slots__ = ("n", "constant", "coeff", "index")
+
+    def __init__(self, form: BlockMultilinearForm):
+        terms = form._terms
+        self.n = form._n
+        self.constant = form._constant
+        self.coeff = np.fromiter(terms.values(), dtype=np.float64, count=len(terms))
+        self.index = np.full((len(terms), form._d), -1, dtype=np.int64)
+        if terms:
+            blocks, indices = zip(*terms)
+            rows = np.repeat(np.arange(len(terms)), list(map(len, blocks)))
+            cols = np.fromiter(chain.from_iterable(blocks), np.int64, rows.size)
+            self.index[rows, cols] = np.fromiter(chain.from_iterable(indices), np.int64,
+                                                 rows.size)
+
+    def variance(self) -> float:
+        if not self.coeff.size:
+            return 0.0
+        return float(np.add.accumulate(self.coeff * self.coeff)[-1])
+
+    def argmax_influence(self) -> tuple[int, int]:
+        """(block, index) of the first largest influence."""
+        index, n = self.index, self.n
+        d = index.shape[1]
+        # absent blocks add into one spare cell past the table
+        cells = np.where(index >= 0, index + np.arange(0, d * n, n), d * n)
+        table = np.bincount(cells.ravel(), weights=np.repeat(self.coeff * self.coeff, d),
+                            minlength=d * n + 1)
+        return divmod(int(np.argmax(table[:-1])), n)
+
+    def restrict(self, b: int, i: int, value: float) -> None:
+        """Fix x_b(i) to ``value``, which must be +-1."""
+        index, coeff = self.index, self.coeff
+        column = index[:, b]
+        touched = np.flatnonzero(column == i)
+        lacking = np.flatnonzero(column < 0)
+        if value < 0:
+            coeff[touched] = -coeff[touched]
+        index[touched, b] = -1
+        spent = ~(index[touched] >= 0).any(axis=1)
+        folded, reduced = touched[spent], touched[~spent]
+        keep = np.ones(coeff.size, dtype=bool)
+        keep[folded] = False
+        for c in coeff[folded].tolist():
+            self.constant += c
+        if reduced.size and lacking.size:
+            rows = np.concatenate((reduced, lacking))
+            keys = index[rows]
+            order = np.lexsort(keys.T)
+            same = (keys[order[1:]] == keys[order[:-1]]).all(axis=1)
+            first, second = rows[order[:-1][same]], rows[order[1:][same]]
+            lo, hi = np.minimum(first, second), np.maximum(first, second)
+            coeff[lo] += coeff[hi]
+            keep[hi] = False
+            keep[lo[coeff[lo] == 0.0]] = False
+        self.index, self.coeff = index[keep], coeff[keep]
 
 
 def random_form(d: int, n: int, num_terms: int, seed: Seed,

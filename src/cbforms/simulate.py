@@ -11,7 +11,19 @@ The queries depend only on the answers so far, so the simulator is a
 decision tree.  ``simulate_on_input`` walks one root-to-leaf path
 lazily; ``error_profile`` visits every node of the tree once, in one
 depth-first pass that carries the cube points reaching each node.  Both
-stop by the same rule.
+stop by the same rule, ``_stop_reason``.
+
+The two run on different kernels over the same arithmetic.  The tree
+restricts forms: most of its nodes lie deep and hold few terms, where
+numpy's per-call overhead costs more than the loop it replaces (a walk
+on a 16-term form takes about twice as long on an array view).  The
+walk restricts a private array view of the form in place, one variable
+per step, which pays off on forms too large for a tree.  The view sums variances left to right, adds each cell of the influence
+table in term order, merges each collision group (at most two rows,
+since two touched monomials still differ outside the queried block) at
+its earlier row, and keeps rows in first-occurrence order.  Those are
+the additions, in the same order, that ``BlockMultilinearForm.restrict``
+and ``max_influence`` make, so a walk and the tree agree bit for bit.
 
 Influence tables are recomputed exactly for the restricted form at
 every node; nothing is carried over or approximated.  Budget exhaustion
@@ -25,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forms import BlockMultilinearForm
+from .forms import BlockMultilinearForm, _TermArrays
 
 ERROR_PROFILE_CAP = 20
 
@@ -69,11 +81,11 @@ class SimulationTranscript:
         return len(self.queries)
 
 
-def _stop_reason(g: BlockMultilinearForm, queries_used: int,
+def _stop_reason(variance: float, queries_used: int,
                  policy: SimulationPolicy) -> str | None:
-    """Why the tree stops at a node holding ``g`` after ``queries_used``
-    queries, or None when it queries again."""
-    if g.variance() <= policy.variance_threshold:
+    """Why the tree stops at a node of restricted variance ``variance``
+    after ``queries_used`` queries, or None when it queries again."""
+    if variance <= policy.variance_threshold:
         return "variance"
     if queries_used >= policy.query_budget:
         return "budget"
@@ -82,17 +94,28 @@ def _stop_reason(g: BlockMultilinearForm, queries_used: int,
 
 def simulate_on_input(f: BlockMultilinearForm, policy: SimulationPolicy,
                       x) -> SimulationTranscript:
-    """Run the greedy tree on one input and return the transcript."""
+    """Run the greedy tree on one input and return the transcript.
+
+    Every entry of ``x`` must be +-1, queried or not.  The walk runs on
+    the form's private array view, restricted in place one query at a
+    time: sequential variance sums, influence cells added in term order,
+    collision groups of at most two rows merged at the earlier row, rows
+    in first-occurrence order.  So queries, output and stop reason are
+    those of the walk on forms (``max_influence``, then ``restrict``) and
+    of ``error_profile``'s tree, bit for bit.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape != (f.d, f.n):
         raise ValueError(f"expected input shape {(f.d, f.n)}, got {x.shape}")
-    g = f
+    if not np.all(np.abs(x) == 1.0):
+        raise ValueError("inputs must be +-1 valued")
+    g = _TermArrays(f)
     transcript = SimulationTranscript()
-    while (reason := _stop_reason(g, transcript.queries_used, policy)) is None:
-        b, i, _ = g.max_influence()
+    while (reason := _stop_reason(g.variance(), transcript.queries_used, policy)) is None:
+        b, i = g.argmax_influence()
         observed = float(x[b, i])
         transcript.queries.append((b, i, observed))
-        g = g.restrict({(b, i): observed})
+        g.restrict(b, i, observed)
     transcript.stop_reason = reason
     transcript.output = g.constant
     return transcript
@@ -150,7 +173,7 @@ def error_profile(f: BlockMultilinearForm, policy: SimulationPolicy,
     stack = [(f, 0, points)]
     while stack:
         g, depth, reach = stack.pop()
-        if _stop_reason(g, depth, policy) is not None:
+        if _stop_reason(g.variance(), depth, policy) is not None:
             errors[reach] = np.abs(g.constant - values[reach])
             queries[reach] = depth
             continue

@@ -20,6 +20,7 @@ import numpy as np
 from cbforms import (BlockMultilinearForm, QuantumQueryCircuit, enumerate_star_pairings,
                      reduce_word, simulate_on_input)
 from cbforms.freecomb import PAIRING_CAP, _check_generator_poly, _color, _exact_terms
+from cbforms.simulate import SimulationTranscript, _stop_reason
 
 EXTRACT_CUBE_CAP = 20
 
@@ -99,6 +100,21 @@ def influences_itemwise(f):
         for b, i in zip(blocks, indices):
             table[b, i] += c2
     return table
+
+
+def simulate_on_forms(f, policy, x):
+    """The greedy walk on forms: query ``max_influence``, ``restrict`` by
+    the observed sign, stop by the simulator's rule."""
+    g = f
+    transcript = SimulationTranscript()
+    while (reason := _stop_reason(g.variance(), transcript.queries_used, policy)) is None:
+        b, i, _ = g.max_influence()
+        observed = float(x[b][i])
+        transcript.queries.append((b, i, observed))
+        g = g.restrict({(b, i): observed})
+    transcript.stop_reason = reason
+    transcript.output = g.constant
+    return transcript
 
 
 def error_profile_pointwise(f, policy):

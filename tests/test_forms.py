@@ -253,6 +253,28 @@ def test_restrict_cancels_and_sums_collisions_in_term_order():
     assert _bits(g) == _bits(want)
 
 
+def _array_bits(view):
+    rows = [((tuple(np.flatnonzero(r >= 0).tolist()), tuple(r[r >= 0].tolist())), c.hex())
+            for r, c in zip(view.index, view.coeff.tolist())]
+    return view.constant.hex(), rows
+
+
+@given(restriction_cases())
+def test_term_arrays_follow_one_variable_restrictions_bit_for_bit(case):
+    # the walk's private array view, restricted one variable at a time,
+    # holds the terms of the restricted form in order, with the same bits
+    f, assignment = case
+    g, view = f, forms._TermArrays(f)
+    for (b, i), v in assignment.items():
+        assert _array_bits(view) == _bits(g)
+        assert view.variance().hex() == g.variance().hex()
+        assert view.argmax_influence() == g.max_influence()[:2]
+        g = g.restrict({(b, i): v})
+        view.restrict(b, i, float(v))
+    assert _array_bits(view) == _bits(g)
+    assert view.variance().hex() == g.variance().hex()
+
+
 def test_restrict_and_max_influence_skip_key_validation(monkeypatch):
     f = random_form(3, 4, 30, Seed(3), homogeneous=False)
 

@@ -11,7 +11,7 @@ from cbforms import (BlockMultilinearForm, Seed, SimulationPolicy, error_profile
                      extract_form, forrelation_circuit, random_circuit,
                      reference_query_bound, simulate_on_input)
 
-from oracles import error_profile_pointwise
+from oracles import error_profile_pointwise, simulate_on_forms
 from strategies import small_forms
 
 
@@ -89,6 +89,55 @@ def test_input_shape_is_validated():
     f = BlockMultilinearForm(2, 2)
     with pytest.raises(ValueError):
         simulate_on_input(f, SimulationPolicy(0.25, 0.25, 1), np.ones((2, 3)))
+
+
+@pytest.mark.parametrize("bad", [0.5, float("nan")])
+def test_non_sign_entries_are_rejected_before_the_walk(bad):
+    # the walk queries only x_0(0), so x_1(1) is never read
+    f = BlockMultilinearForm(2, 2, 0.0, {((0,), (0,)): 1.0})
+    x = np.ones((2, 2))
+    x[1, 1] = bad
+    with pytest.raises(ValueError, match=r"inputs must be \+-1 valued"):
+        simulate_on_input(f, SimulationPolicy(0.25, 0.25, 4), x)
+
+
+def assert_walk_matches_forms(f, pol, x):
+    got, want = simulate_on_input(f, pol, x), simulate_on_forms(f, pol, x)
+    assert got.queries == want.queries
+    assert all(type(b) is int and type(i) is int and type(o) is float
+               for b, i, o in got.queries)
+    assert type(got.output) is float
+    assert got.output.hex() == want.output.hex()
+    assert got.stop_reason == want.stop_reason
+    return got
+
+
+@given(st.one_of(small_forms(homogeneous=True), small_forms()), st.integers(1, 8),
+       st.sampled_from([0.05, 0.3, 1.0]), st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=100)
+def test_walk_matches_the_walk_on_forms_bit_for_bit(f, budget, epsilon, seed):
+    x = 1.0 - 2.0 * np.random.default_rng(seed).integers(0, 2, size=(f.d, f.n))
+    assert_walk_matches_forms(f, SimulationPolicy(epsilon, 0.5, budget), x)
+
+
+@pytest.mark.parametrize("f, x, budget, want", [
+    # x_0(0) = -1 turns 2 x_0(0) x_1(0) into -2 x_1(0), which cancels 2 x_1(0)
+    (BlockMultilinearForm(2, 1, 0.0, {((0, 1), (0, 0)): 2.0, ((1,), (0,)): 2.0,
+                                      ((0,), (0,)): 3.0}),
+     [[-1.0], [1.0]], 8, ([(0, 0, -1.0)], -3.0, "variance")),
+    (BlockMultilinearForm(2, 3), np.ones((2, 3)), 8, ([], 0.0, "variance")),
+    (BlockMultilinearForm(1, 3, 0.5, {((0,), (0,)): 1.0, ((0,), (2,)): -2.0}),
+     [[-1.0, 1.0, -1.0]], 8, ([(0, 2, -1.0), (0, 0, -1.0)], 1.5, "variance")),
+    (extract_form(forrelation_circuit(4)), np.ones((2, 4)), 2, (None, None, "budget")),
+])
+def test_walk_matches_the_walk_on_forms_on_edge_cases(f, x, budget, want):
+    got = assert_walk_matches_forms(f, SimulationPolicy(0.1, 0.1, budget), np.asarray(x))
+    queries, output, reason = want
+    assert got.stop_reason == reason
+    if queries is not None:
+        assert (got.queries, got.output) == (queries, output)
+    else:
+        assert got.queries_used == budget
 
 
 @given(small_forms())
