@@ -20,14 +20,24 @@ Conventions
   (orthonormality of the characters makes them equal to E f^2 - (E f)^2
   and E |df|^2 respectively; tests verify the identities by brute
   force).
+* One summation contract: every float reduction that another route must
+  match bit for bit (``variance``, the influence table,
+  ``NCPolynomial.l2_norm``, ``freecomb.moment_upper_bound`` and the
+  simulator's array kernels) adds left to right, in term order, by an
+  explicit loop or a sequential numpy reduction such as ``np.bincount``.
+  The builtin ``sum`` compensates float rounding since Python 3.12 and
+  ``np.sum`` adds pairwise, so neither is used where bits must agree.
+  Only Python 3.11 has been run; 3.12 and later are unverified.
 * Forms are immutable once constructed; every operation returns a new
   object.
 * The public constructor validates every key.  ``restrict`` and
   ``leading_block_decomposition`` only reuse or shorten keys of a form
-  that was already valid, so they build their results through a private
-  constructor that skips that check.  A restricted form has the same
-  terms, in the same order and with the same bits, as a rebuild of the
-  result through the validating constructor.
+  that was already valid, and ``quantum.extract_form`` makes its keys
+  from the index tuples of its coefficient tensor, so they build their
+  results through a private constructor that skips that check.  A
+  restricted form has the same terms, in the same order and with the
+  same bits, as a rebuild of the result through the validating
+  constructor.
 * A greedy walk restricts one variable per step and reads nothing but
   the variance, the top influence and the final constant.  It runs on a
   private array view of the terms (``_TermArrays``): a (T, d) int64
@@ -35,7 +45,10 @@ Conventions
   float64 coefficient vector.  Only this module knows that layout.  Its
   three step operations do the floating-point operations of
   ``variance``, ``max_influence`` and ``restrict`` in the same order, so
-  a walk on the view gives the same bits as a walk on forms.
+  a walk on the view gives the same bits as a walk on forms.  The
+  simulator's whole-tree kernel reads each term as an int64 support
+  bitmask (``_support_masks``, bit j for support variable j, the bit
+  convention of the cube points in ``_cube_values``).
 """
 
 from __future__ import annotations
@@ -199,8 +212,12 @@ class BlockMultilinearForm:
     # -- Fourier analytics ---------------------------------------------
 
     def variance(self) -> float:
-        """Sum of squared non-constant coefficients (= E f^2 - (E f)^2)."""
-        return float(sum(c * c for c in self._terms.values()))
+        """Sum of squared non-constant coefficients (= E f^2 - (E f)^2),
+        added left to right in term order."""
+        total = 0.0
+        for c in self._terms.values():
+            total += c * c
+        return total
 
     def influences(self) -> np.ndarray:
         """Influence table, shape (d, n): entry (b, i) is the sum of squared
@@ -288,31 +305,42 @@ class BlockMultilinearForm:
             raise ValueError(f"cap exceeded: {k} support variables > cap {cap}")
         if k == 0:
             return abs(self._constant)
+        masks = self._support_masks(sup_vars)
         best = 0.0
         chunk = 1 << min(k, 18)
         for start in range(0, 1 << k, chunk):
-            vals = self._cube_values(sup_vars, np.arange(start, start + chunk, dtype=np.uint64))
+            vals = self._cube_values(masks, np.arange(start, start + chunk, dtype=np.uint64))
             best = max(best, float(np.max(np.abs(vals))))
         return best
 
-    def _cube_values(self, sup_vars, points: np.ndarray) -> np.ndarray:
+    def _cube_values(self, masks: np.ndarray, points: np.ndarray) -> np.ndarray:
         """Values at bit-encoded cube points: bit j of a point set means
-        variable ``sup_vars[j]`` is -1, a clear bit means +1.
+        variable ``sup_vars[j]`` is -1, a clear bit means +1, where
+        ``masks`` is ``_support_masks(sup_vars)``.
 
         ``sup_vars`` must cover the support.  A monomial's sign is the
         parity of its masked bits, and multiplying by +-1 is exact, so
         adding the terms in storage order onto the constant gives the
         same floats as ``evaluate`` at every point.
         """
-        pos = {v: j for j, v in enumerate(sup_vars)}
         vals = np.full(points.shape, self._constant)
-        for (blocks, indices), coeff in self._terms.items():
-            mask = 0
-            for b, i in zip(blocks, indices):
-                mask |= 1 << pos[(b, i)]
+        for coeff, mask in zip(self._terms.values(), masks.tolist()):
             par = np.bitwise_count(points & mask) & 1
             vals += coeff * (1.0 - 2.0 * par.astype(float))
         return vals
+
+    def _support_masks(self, sup_vars) -> np.ndarray:
+        """Each term's variables as an int64 bitmask, in term order: bit j
+        is variable ``sup_vars[j]``, the bit convention of the cube points.
+        ``sup_vars`` must cover the support and hold at most 62 variables."""
+        pos = {v: 1 << j for j, v in enumerate(sup_vars)}
+        masks = []
+        for blocks, indices in self._terms:
+            mask = 0
+            for v in zip(blocks, indices):
+                mask |= pos[v]
+            masks.append(mask)
+        return np.array(masks, dtype=np.int64)
 
     # -- structure ---------------------------------------------------------
 
@@ -376,9 +404,9 @@ class _TermArrays:
     Each operation repeats the floating-point operations of the form
     method it stands for, in the same order:
 
-    * ``variance`` sums the squares left to right, as the builtin ``sum``
-      in ``BlockMultilinearForm.variance`` does up to Python 3.11;
-      ``np.sum`` would sum pairwise.
+    * ``variance`` sums the squares left to right, as
+      ``BlockMultilinearForm.variance`` does; ``np.sum`` would sum
+      pairwise.
     * ``argmax_influence`` adds each square into its (block, index) cell
       with ``np.bincount``, one weight at a time from 0.0, in row-major
       order (term order, blocks ascending), as ``influences`` adds into

@@ -262,5 +262,7 @@ def moment_upper_bound(p: NCPolynomial, m: int):
     if m < 1:
         raise ValueError("m must be positive")
     terms, integral = _exact_terms(p)
-    s = sum(c * c for _, c in terms)
+    s = 0
+    for _, c in terms:  # left to right; the builtin sum may compensate
+        s += c * c
     return fuss_catalan(p.degree(), m) * s ** m

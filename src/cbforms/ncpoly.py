@@ -82,9 +82,10 @@ class NCPolynomial:
         return sorted(seen)
 
     def l2_norm(self) -> float:
-        total = self._constant * self._constant
-        total += sum(c * c for c in self._terms.values())
-        return float(np.sqrt(total))
+        squares = 0
+        for c in self._terms.values():  # left to right; the builtin sum may compensate
+            squares += c * c
+        return float(np.sqrt(self._constant * self._constant + squares))
 
 
 def evaluate_nc(p: NCPolynomial, assignment: Mapping, dim: int | None = None) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -141,13 +142,12 @@ def extract_form(c: QuantumQueryCircuit) -> BlockMultilinearForm:
         state = state.reshape(-1, n, s)
     coeffs = np.einsum("pik,ik->pi", state, c.v.reshape(n, s)).reshape((n,) * d)
 
+    # keys in C order of the tensor, valid by construction; exact zeros dropped
     blocks = tuple(range(d))
-    terms = {}
-    for idx in np.ndindex(*coeffs.shape):
-        val = float(coeffs[idx])
-        if val != 0.0:
-            terms[(blocks, idx)] = val
-    return BlockMultilinearForm(d, n, 0.0, terms)
+    terms = {(blocks, idx): val
+             for idx, val in zip(product(range(n), repeat=d), coeffs.ravel().tolist())
+             if val != 0.0}
+    return BlockMultilinearForm._trusted(int(d), int(n), 0.0, terms)
 
 
 # -- generators ----------------------------------------------------------

@@ -9,21 +9,29 @@ final restriction.
 
 The queries depend only on the answers so far, so the simulator is a
 decision tree.  ``simulate_on_input`` walks one root-to-leaf path
-lazily; ``error_profile`` visits every node of the tree once, in one
-depth-first pass that carries the cube points reaching each node.  Both
-stop by the same rule, ``_stop_reason``.
+lazily; ``error_profile`` builds the whole tree, one level at a time,
+carrying the cube points that reach each node.  Both stop by
+``_stop_tests``, which the tree applies to a whole level at once.
 
-The two run on different kernels over the same arithmetic.  The tree
-restricts forms: most of its nodes lie deep and hold few terms, where
-numpy's per-call overhead costs more than the loop it replaces (a walk
-on a 16-term form takes about twice as long on an array view).  The
-walk restricts a private array view of the form in place, one variable
-per step, which pays off on forms too large for a tree.  The view sums variances left to right, adds each cell of the influence
-table in term order, merges each collision group (at most two rows,
-since two touched monomials still differ outside the queried block) at
-its earlier row, and keeps rows in first-occurrence order.  Those are
-the additions, in the same order, that ``BlockMultilinearForm.restrict``
-and ``max_influence`` make, so a walk and the tree agree bit for bit.
+Both run on arrays and make the floating-point operations of the form
+methods (``variance``, ``max_influence``, ``restrict``) in the same
+order, so a walk, the tree and a walk on forms agree bit for bit:
+variances add their squares left to right, each cell of an influence
+table adds in term order, each collision group (at most two rows, since
+two touched monomials still differ outside the queried block) merges at
+its earlier row, and rows keep first-occurrence order.
+
+The tree holds every node of one depth in flat arrays, as support
+bitmasks, coefficients and node ids, so a level costs a fixed number of
+numpy calls however many nodes it holds; most nodes lie deep and hold
+few terms, where one numpy call per node would cost more than the loop
+it replaces.  A level too wide for memory goes on as two halves, one
+after the other.  Rows sort by node and mask packed into one int64,
+which bounds the tree to 31 support variables, far beyond any cube it
+could hold in memory.  The walk restricts a private array view of the
+form in place (``forms._TermArrays``), one variable per step: it has a
+single node, so level bookkeeping would only add calls, and its index
+array, unlike a packed mask, puts no bound on the support.
 
 Influence tables are recomputed exactly for the restricted form at
 every node; nothing is carried over or approximated.  Budget exhaustion
@@ -40,6 +48,12 @@ import numpy as np
 from .forms import BlockMultilinearForm, _TermArrays
 
 ERROR_PROFILE_CAP = 20
+# the level tree sorts its rows by (node << k) | mask in one int64, and
+# node ids take k + 1 bits, so 2k + 1 <= 63
+_TREE_BITS = 31
+# rows above which the level tree goes on with the +1 and the -1 children
+# of a level separately
+_LEVEL_ROWS = 1 << 13
 
 
 @dataclass
@@ -81,15 +95,19 @@ class SimulationTranscript:
         return len(self.queries)
 
 
+def _stop_tests(variance, depth, policy: SimulationPolicy):
+    """The tree's two stop tests at nodes of restricted variance
+    ``variance`` after ``depth`` queries, in precedence order: variance at
+    most the threshold, then budget spent.  Scalars or arrays alike."""
+    return variance <= policy.variance_threshold, depth >= policy.query_budget
+
+
 def _stop_reason(variance: float, queries_used: int,
                  policy: SimulationPolicy) -> str | None:
-    """Why the tree stops at a node of restricted variance ``variance``
+    """Why a walk stops at a node of restricted variance ``variance``
     after ``queries_used`` queries, or None when it queries again."""
-    if variance <= policy.variance_threshold:
-        return "variance"
-    if queries_used >= policy.query_budget:
-        return "budget"
-    return None
+    low, spent = _stop_tests(variance, queries_used, policy)
+    return "variance" if low else "budget" if spent else None
 
 
 def simulate_on_input(f: BlockMultilinearForm, policy: SimulationPolicy,
@@ -151,36 +169,114 @@ def error_profile(f: BlockMultilinearForm, policy: SimulationPolicy,
 
     The tree only ever queries variables with positive influence, and
     the form's value only depends on its support, so the cube runs over
-    support variables; ``cap`` bounds their number.  Point p sets
-    support variable j to -1 when bit j of p is set.  A depth-first pass
-    visits each tree node once, holding the restricted form and the
-    points whose answers lead there.  A node that stops records
-    |output - f(x)| and its depth for all of its points; otherwise its
-    points split on the sign of the queried variable and each child is
-    restricted once.  The values f(x) come from one vectorized sweep of
-    the cube, equal as floats to ``f.evaluate`` at each point, so the
-    profile matches running ``simulate_on_input`` point by point.
+    support variables; ``cap`` bounds their number, and more than 31
+    (half the width of the tree's sort key) are refused whatever ``cap``
+    says.  Point p sets support variable j to -1 when bit j of p is set.
+
+    The tree grows one level at a time.  A level holds every node of one
+    depth in flat arrays: per row a term's support mask (bit j for
+    support variable j), its coefficient and its node, rows grouped by
+    node and in term order inside a node; per node a constant; per point
+    the node it has reached.  A node that stops records |output - f(x)|
+    and its depth for its points; the others query their top influence
+    and split into a +1 and a -1 child, and each point moves to the child
+    its answer selects.  A child level of more than ``_LEVEL_ROWS`` rows
+    goes on as two, its +1 children and its -1 children, each finished
+    before the other starts, so memory stays near that of a depth-first
+    pass.  Each step makes the floating-point operations of
+    ``BlockMultilinearForm.variance``, ``max_influence`` and ``restrict``
+    on the node's form, in the same order.  The values f(x) come from one
+    vectorized sweep of the cube, equal as floats to ``f.evaluate`` at
+    each point, so the profile matches running ``simulate_on_input``
+    point by point, bit for bit.
     """
     sup_vars = f.support()
     k = len(sup_vars)
+    if k > _TREE_BITS:
+        raise ValueError(f"error profiles take at most {_TREE_BITS} support variables "
+                         f"(the tree packs node and mask into one int64), got {k}")
     if k > cap:
         raise ValueError(f"cap exceeded: {k} support variables > cap {cap}")
-    bit = {v: j for j, v in enumerate(sup_vars)}
+    mask = f._support_masks(sup_vars)
     points = np.arange(1 << k)
-    values = f._cube_values(sup_vars, points)
+    values = f._cube_values(mask, points)
     errors = np.empty(1 << k)
     queries = np.empty(1 << k, dtype=int)
-    stack = [(f, 0, points)]
-    while stack:
-        g, depth, reach = stack.pop()
-        if _stop_reason(g.variance(), depth, policy) is not None:
-            errors[reach] = np.abs(g.constant - values[reach])
-            queries[reach] = depth
+    coeff = np.fromiter(f.terms.values(), np.float64, mask.size)
+    levels = [(0, mask, coeff, np.zeros(mask.size, dtype=np.int64), np.array([f.constant]),
+               points, np.zeros(points.size, dtype=np.int64))]
+    while levels:
+        depth, mask, coeff, node, constant, points, at = levels.pop()
+        # variance: squares added from 0.0 in row order, i.e. term order per
+        # node; then the two stop tests
+        variance = np.bincount(node, weights=coeff * coeff, minlength=constant.size)
+        low, out_of_budget = _stop_tests(variance, depth, policy)
+        stop = low | out_of_budget
+        done = stop[at]
+        ended = points[done]
+        errors[ended] = np.abs(constant[at[done]] - values[ended])
+        queries[ended] = depth
+        live = ~stop
+        if not live.any():
             continue
-        b, i, _ = g.max_influence()
-        minus = ((reach >> bit[(b, i)]) & 1).astype(bool)
-        stack.append((g.restrict({(b, i): 1.0}), depth + 1, reach[~minus]))
-        stack.append((g.restrict({(b, i): -1.0}), depth + 1, reach[minus]))
+        renumber = np.cumsum(live) - 1
+        width = int(renumber[-1]) + 1
+        rows = live[node]
+        mask, coeff, node = mask[rows], coeff[rows], renumber[node[rows]]
+        points, at = points[~done], renumber[at[~done]]
+        # influence: cell (node, j) adds its squares in row order; the first
+        # maximum in support order is the first in (block, index) order, and
+        # a live node has positive variance, so an empty cell never wins;
+        # the row bits unpack from the little-endian mask bytes, one byte
+        # per (row, bit)
+        row_bits = np.unpackbits(mask.astype("<i8", copy=False).view(np.uint8).reshape(-1, 8),
+                                 axis=1, count=k, bitorder="little")
+        row, j = np.nonzero(row_bits)
+        table = np.bincount(node[row] * k + j, weights=(coeff * coeff)[row],
+                            minlength=width * k)
+        query = table.reshape(width, k).argmax(axis=1)
+        # children laid out child-major, every +1 child and then every -1
+        # child: the queried bit is cleared and the -1 copy negates the rows
+        # that held it
+        qbit = (1 << query)[node]
+        touched = (mask & qbit) != 0
+        mask &= ~qbit
+        mask = np.concatenate((mask, mask))
+        coeff = np.concatenate((coeff, np.where(touched, -coeff, coeff)))
+        node = np.concatenate((node, node + width))
+        constant = constant[live]
+        constant = np.concatenate((constant, constant))
+        # keys are unique, so a node has at most one spent row, which folds
+        # into its constant, and a collision joins exactly two rows, which
+        # merge at the earlier row as c_lo + c_hi with exact zeros dropped
+        spent = (mask == 0).nonzero()[0]
+        constant[node[spent]] += coeff[spent]
+        # a stable sort by (node, mask) puts the two rows of a pair next to
+        # each other, earlier first; rows already run in node order, so the
+        # packed key is nearly sorted
+        order = np.argsort((node << k) | mask, kind="stable")
+        m, t = mask[order], node[order]
+        same = ((m[1:] == m[:-1]) & (t[1:] == t[:-1])).nonzero()[0]
+        lo, hi = order[same], order[same + 1]
+        coeff[lo] += coeff[hi]
+        keep = np.ones(mask.size, dtype=bool)
+        keep[spent] = keep[hi] = False
+        keep[lo[coeff[lo] == 0.0]] = False
+        mask, coeff, node = mask[keep], coeff[keep], node[keep]
+        at += width * ((points >> query[at]) & 1)
+        if mask.size <= _LEVEL_ROWS:
+            levels.append((depth + 1, mask, coeff, node, constant, points, at))
+            continue
+        # a level of more rows goes on as two, its +1 children and its -1
+        # children, each finished before the other starts, so memory stays
+        # bounded by the query budget times _LEVEL_ROWS rows; every node is
+        # computed on its own rows alone, so no bit changes
+        cut = int(np.searchsorted(node, width))
+        minus = at >= width
+        levels.append((depth + 1, mask[cut:], coeff[cut:], node[cut:] - width,
+                       constant[width:], points[minus], at[minus] - width))
+        levels.append((depth + 1, mask[:cut], coeff[:cut], node[:cut],
+                       constant[:width], points[~minus], at[~minus]))
     return ErrorProfile(epsilon=policy.epsilon, delta=policy.delta,
                         budget=policy.query_budget, errors=errors, queries=queries)
 

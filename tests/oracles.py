@@ -20,7 +20,7 @@ import numpy as np
 from cbforms import (BlockMultilinearForm, QuantumQueryCircuit, enumerate_star_pairings,
                      reduce_word, simulate_on_input)
 from cbforms.freecomb import PAIRING_CAP, _check_generator_poly, _color, _exact_terms
-from cbforms.simulate import SimulationTranscript, _stop_reason
+from cbforms.simulate import ERROR_PROFILE_CAP, ErrorProfile, SimulationTranscript, _stop_reason
 
 EXTRACT_CUBE_CAP = 20
 
@@ -115,6 +115,35 @@ def simulate_on_forms(f, policy, x):
     transcript.stop_reason = reason
     transcript.output = g.constant
     return transcript
+
+
+def error_profile_on_forms(f, policy, cap=ERROR_PROFILE_CAP):
+    """The greedy tree on forms, one node at a time: a depth-first pass
+    that holds each node's restricted form and the cube points reaching
+    it, queries ``max_influence`` and restricts once per child.  Point
+    order and cube values are ``error_profile``'s."""
+    sup_vars = f.support()
+    k = len(sup_vars)
+    if k > cap:
+        raise ValueError(f"cap exceeded: {k} support variables > cap {cap}")
+    bit = {v: j for j, v in enumerate(sup_vars)}
+    points = np.arange(1 << k)
+    values = f._cube_values(f._support_masks(sup_vars), points)
+    errors = np.empty(1 << k)
+    queries = np.empty(1 << k, dtype=int)
+    stack = [(f, 0, points)]
+    while stack:
+        g, depth, reach = stack.pop()
+        if _stop_reason(g.variance(), depth, policy) is not None:
+            errors[reach] = np.abs(g.constant - values[reach])
+            queries[reach] = depth
+            continue
+        b, i, _ = g.max_influence()
+        minus = ((reach >> bit[(b, i)]) & 1).astype(bool)
+        stack.append((g.restrict({(b, i): 1.0}), depth + 1, reach[~minus]))
+        stack.append((g.restrict({(b, i): -1.0}), depth + 1, reach[minus]))
+    return ErrorProfile(epsilon=policy.epsilon, delta=policy.delta,
+                        budget=policy.query_budget, errors=errors, queries=queries)
 
 
 def error_profile_pointwise(f, policy):

@@ -337,6 +337,17 @@ def test_simulate_non_finite_parameters_exit_one(capsys, tmp_path, flag, value):
     assert not out_path.exists()
 
 
+def test_simulate_refuses_supports_wider_than_the_tree_key(capsys, tmp_path):
+    path = tmp_path / "wide.json"
+    path.write_text(BlockMultilinearForm(1, 63, 0.0, {((0,), (i,)): 1.0
+                                                       for i in range(63)}).to_json())
+    rc, out, err = run(capsys, "simulate", str(path), "--cap", "63", "--budget", "1")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: error profiles take at most 31 support variables")
+    assert err.count("\n") == 1
+
+
 def test_simulate_reads_generated_circuit(capsys, tmp_path):
     # a circuit file is read as the form it computes
     path = tmp_path / "forr.json"

@@ -92,6 +92,14 @@ def test_evaluate_matches_direct_monomial_sum(f, point):
 # -- variance and influence ----------------------------------------------
 
 
+def test_variance_adds_left_to_right():
+    # a compensated sum, such as the builtin sum since Python 3.12, gives
+    # 1.0000000000000002
+    f = BlockMultilinearForm(1, 3, 0.0, {((0,), (0,)): 1.0, ((0,), (1,)): 1e-8,
+                                         ((0,), (2,)): 1e-8})
+    assert f.variance() == 1.0
+
+
 @given(small_forms())
 def test_variance_matches_cube_moments(f):
     assert f.variance() == pytest.approx(oracles.variance_bruteforce(f),

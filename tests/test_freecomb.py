@@ -331,6 +331,12 @@ def test_moment_upper_bound_value():
     assert isinstance(val, int)
 
 
+def test_moment_upper_bound_adds_left_to_right():
+    # a compensated sum of the squares would give 1.0000000000000002
+    p = NCPolynomial({(1,): 1.0, (2,): 1e-8, (3,): 1e-8})
+    assert moment_upper_bound(p, 1) == 1.0
+
+
 def test_exact_moments_match_matrix_traces_at_large_dimension():
     # free-probability moments are the N -> infinity limit of normalized
     # matrix traces; at N=1024 the gap is already far below 0.05

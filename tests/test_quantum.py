@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cbforms import (QuantumQueryCircuit, addr_index, address_form, extract_form,
-                     forrelation_circuit, random_circuit)
+from cbforms import (BlockMultilinearForm, QuantumQueryCircuit, addr_index, address_form,
+                     extract_form, forrelation_circuit, random_circuit)
 from cbforms.matnum import Seed, haar_orthogonal
 
 from oracles import extract_form_fourier, identity_circuit
@@ -130,6 +130,22 @@ def test_extraction_routes_agree(n, s, d):
         x = np.where(rng.random((d, n)) < 0.5, -1.0, 1.0)
         assert f.evaluate(x) == pytest.approx(c.amplitude(x), abs=1e-12)
     assert f.variance() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("s", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_extracted_terms_pass_the_validating_constructor_bit_for_bit(s, d):
+    f = extract_form(random_circuit(3, s, d, seed=Seed(40 + 10 * s + d)))
+    rebuilt = BlockMultilinearForm(f.d, f.n, f.constant, f.terms)
+    assert ([(key, c.hex()) for key, c in f.terms.items()]
+            == [(key, c.hex()) for key, c in rebuilt.terms.items()])
+    assert list(f.terms) == sorted(f.terms)  # C order of the coefficient tensor
+    assert all(type(i) is int for _, indices in f.terms for i in indices)
+    assert type(f.d) is int and type(f.n) is int and f.num_terms() == 3 ** d
+
+
+def test_extraction_drops_exact_zero_coefficients():
+    assert extract_form(identity_circuit(3, 3)).terms == {((0, 1, 2), (0, 0, 0)): 1.0}
 
 
 def test_fourier_extraction_cap():

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cbforms import simulate
 from cbforms import (BlockMultilinearForm, Seed, SimulationPolicy, error_profile,
                      extract_form, forrelation_circuit, random_circuit,
                      reference_query_bound, simulate_on_input)
 
-from oracles import error_profile_pointwise, simulate_on_forms
-from strategies import small_forms
+from oracles import error_profile_on_forms, error_profile_pointwise, simulate_on_forms
+from strategies import coeffs, small_forms
 
 
 # -- policy ---------------------------------------------------------------------
@@ -240,6 +241,98 @@ def test_tree_profile_matches_pointwise_walks(f, budget, epsilon):
 def test_tree_profile_matches_pointwise_walks_on_forrelation(budget):
     f = extract_form(forrelation_circuit(4))
     assert_profile_matches_pointwise(f, SimulationPolicy(0.25, 0.25, budget))
+
+
+@st.composite
+def tree_cases(draw):
+    """A small form, homogeneous or general.  A general form with two
+    blocks or more may also hold a pair x_b(i) x_c(j) and x_c(j) that
+    collide in both children of a query on x_b(i); one draw in three
+    makes the pair cancel to exactly zero in one of them."""
+    f = draw(st.one_of(small_forms(homogeneous=True), small_forms(max_terms=8)))
+    if f.d < 2 or f.is_homogeneous() or not draw(st.booleans()):
+        return f
+    b, c = draw(st.permutations(range(f.d)))[:2]
+    i, j = draw(st.integers(0, f.n - 1)), draw(st.integers(0, f.n - 1))
+    (lo, i_lo), (hi, i_hi) = sorted([(b, i), (c, j)])
+    c_long = draw(coeffs)
+    terms = f.terms
+    terms[((lo, hi), (i_lo, i_hi))] = c_long
+    cancel = draw(st.integers(0, 2)) == 0
+    terms[((c,), (j,))] = draw(st.sampled_from([c_long, -c_long])) if cancel else draw(coeffs)
+    return BlockMultilinearForm(f.d, f.n, f.constant, terms)
+
+
+def assert_profile_matches_forms(f, pol):
+    want = error_profile_on_forms(f, pol)
+    prof = error_profile(f, pol)
+    assert prof.errors.tobytes() == want.errors.tobytes()
+    assert prof.queries.tobytes() == want.queries.tobytes()
+
+
+@given(tree_cases(), st.integers(1, 8), st.sampled_from([0.05, 0.3, 1.0]))
+@settings(max_examples=200)
+def test_level_tree_matches_the_tree_on_forms_bit_for_bit(f, budget, epsilon):
+    assert_profile_matches_forms(f, SimulationPolicy(epsilon, 0.5, budget))
+
+
+TINY = 1e-8  # TINY**2 is below half an ulp of 1.0, two of them are above it
+
+
+@pytest.mark.parametrize("f, epsilon, budget", [
+    (BlockMultilinearForm(2, 3), 0.25, 4),
+    (BlockMultilinearForm(2, 3, -0.5), 0.25, 4),
+    (BlockMultilinearForm(1, 3, 0.5, {((0,), (0,)): 1.0, ((0,), (2,)): -2.0}), 0.25, 8),
+    # x_0(0) = +1 cancels 2 x_1(0) against -2 x_1(0); x_0(0) = -1 doubles it
+    (BlockMultilinearForm(2, 1, 0.0, {((0, 1), (0, 0)): 2.0, ((1,), (0,)): -2.0,
+                                      ((0,), (0,)): 3.0}), 0.25, 8),
+    (extract_form(forrelation_circuit(4, k=3)), 0.25, 16),
+    # the variance is exactly the threshold 1.0 only when added in term order
+    (BlockMultilinearForm(1, 3, 0.0, {((0,), (0,)): 1.0, ((0,), (1,)): TINY,
+                                      ((0,), (2,)): TINY}), 1.0, 8),
+    # x_0(0)'s influence 1 + TINY^2 + TINY^2 is 1.0 in term order, so x_1(0)'s
+    # 1 + 2^-52 wins; added in any other order they tie and x_0(0) wins
+    (BlockMultilinearForm(2, 3, 0.0, {((0,), (0,)): 1.0, ((0, 1), (0, 1)): TINY,
+                                      ((0, 1), (0, 2)): TINY, ((1,), (0,)): 1.0,
+                                      ((0, 1), (1, 0)): 2.0 ** -26}), 0.25, 1),
+    # x_0(0) = +1 merges 0.5 x_1(0) + 0.5 x_1(0) into the first row, ahead of two
+    # TINY rows, so that child's variance is exactly the threshold 1.0; x_0(0) = -1
+    # cancels the pair
+    (BlockMultilinearForm(2, 3, 0.0, {((1,), (0,)): 0.5, ((1,), (1,)): TINY,
+                                      ((1,), (2,)): TINY, ((0, 1), (0, 0)): 0.5,
+                                      ((0,), (0,)): 1.0}), 1.0, 8),
+])
+def test_level_tree_matches_the_tree_on_forms_on_edge_cases(f, epsilon, budget):
+    assert_profile_matches_forms(f, SimulationPolicy(epsilon, epsilon, budget))
+
+
+@given(tree_cases(), st.integers(1, 8), st.sampled_from([0.05, 0.3, 1.0]),
+       st.integers(1, 4))
+@settings(max_examples=100)
+def test_split_levels_match_the_tree_on_forms_bit_for_bit(f, budget, epsilon, level_rows):
+    # a few rows per level make nearly every level go on as two
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_LEVEL_ROWS", level_rows)
+        assert_profile_matches_forms(f, SimulationPolicy(epsilon, 0.5, budget))
+
+
+def test_split_levels_keep_the_forrelation_profile():
+    f = extract_form(forrelation_circuit(4, k=3))
+    pol = SimulationPolicy(0.25, 0.25, 16)
+    want = error_profile(f, pol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_LEVEL_ROWS", 8)
+        prof = error_profile(f, pol)
+    assert prof.errors.tobytes() == want.errors.tobytes()
+    assert prof.queries.tobytes() == want.queries.tobytes()
+
+
+@pytest.mark.parametrize("k", [32, 63])
+def test_error_profile_refuses_supports_wider_than_the_tree_key(k):
+    # refused before the cube is allocated, whatever the cap
+    f = BlockMultilinearForm(1, k, 0.0, {((0,), (i,)): 1.0 for i in range(k)})
+    with pytest.raises(ValueError, match="at most 31 support variables"):
+        error_profile(f, SimulationPolicy(0.25, 0.25, 1), cap=k)
 
 
 # -- pinned bits ---------------------------------------------------------------------
